@@ -34,8 +34,6 @@ from nmrsim.ensemble import (
     concurrence,
     density_of,
     entanglement_report,
-    merge_histories,
-    same_density,
     uniform_bell_history,
     uniform_computational_history,
 )
@@ -44,19 +42,15 @@ from nmrsim.pseudopure import (
     EpsilonEstimate,
     NetSignal,
     PopulationVector,
-    PseudoPureState,
     compose_pseudopure,
     exhaustive_average,
     extract_epsilon,
     net_signal,
-    snr_with_repetitions,
 )
 from nmrsim.repro import (
     ExperimentDataset,
-    PipelineReport,
     ReproReport,
     check_against_baselines,
-    full_pipeline_demo,
     load_baselines,
     load_dataset,
     reproduce_theory,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from nmrsim import repro
-from nmrsim.core import EXPERIMENTAL, STRICT, fidelity, validate_density, validate_unitary
+from nmrsim.core import EXPERIMENTAL, STRICT, evolve, fidelity, validate_density, validate_unitary
 from nmrsim.ensemble import density_of, entanglement_report, history_from_dict
 from nmrsim.errors import (
     DimMismatchError,
@@ -244,9 +244,7 @@ def cmd_evolve(args) -> int:
     profile = _PROFILES[args.profile]
     rho = validate_density(load_matrix(args.state), profile)
     u = validate_unitary(load_matrix(args.unitary))
-    if rho.dim != u.dim:
-        raise DimMismatchError(f"state dim {rho.dim} != operator dim {u.dim}")
-    evolved = u.matrix @ rho.matrix @ u.matrix.conj().T
+    evolved = evolve(rho, u).matrix
 
     if args.out:
         save_matrix(evolved, args.out)

@@ -32,6 +32,8 @@ __all__ = [
     "UnitaryOperator",
     "PureState",
     "UnitarityCheck",
+    "DensityInvariants",
+    "density_invariants",
     "validate_density",
     "validate_unitary",
     "pure_state",
@@ -114,6 +116,14 @@ class UnitarityCheck(NamedTuple):
     defect: float
 
 
+class DensityInvariants(NamedTuple):
+    """Measured density-matrix invariants; see :func:`density_invariants`."""
+
+    trace: complex
+    hermiticity_defect: float
+    min_eigenvalue: float
+
+
 def _as_complex_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.ndim != 2:
@@ -151,6 +161,20 @@ def _eigh_or_fail(m: np.ndarray):
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
 
 
+def density_invariants(m) -> DensityInvariants:
+    """Trace, hermiticity defect and minimum eigenvalue of the Hermitian part.
+
+    The eigenvalue is taken of ``(m + m^dag) / 2`` so that a tiny asymmetry
+    cannot skew the PSD judgement.  It is NaN when ``m`` has a non-finite
+    entry, for which the eigensolver has no defined result.
+    """
+    a = np.asarray(m, dtype=complex)
+    lam_min = float("nan")
+    if np.isfinite(a).all():
+        lam_min = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
+    return DensityInvariants(complex(np.trace(a)), hermiticity_defect(a), lam_min)
+
+
 def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the array.
 
@@ -169,21 +193,20 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     ------
     NotSquareError, DimNotPowerOfTwoError, NotHermitianError, BadTraceError,
     NotPsdError
-        Naming the violated invariant and its measured magnitude.
+        Naming the violated invariant and its measured magnitude, checked in
+        that order.
     """
     a = _as_complex_matrix(m)
     _require_square(a)
     n = _n_qubits_for(a.shape[0])
-    herm = hermiticity_defect(a)
-    if herm > profile.hermiticity_tol:
-        raise NotHermitianError(herm)
-    trace_dev = abs(complex(np.trace(a)) - 1.0)
+    inv = density_invariants(a)
+    if inv.hermiticity_defect > profile.hermiticity_tol:
+        raise NotHermitianError(inv.hermiticity_defect)
+    trace_dev = abs(inv.trace - 1.0)
     if trace_dev > profile.trace_tol:
         raise BadTraceError(trace_dev)
-    # PSD is judged on the Hermitian part so a tiny asymmetry cannot skew it.
-    lam_min = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
-    if lam_min < -profile.psd_tol:
-        raise NotPsdError(lam_min)
+    if not inv.min_eigenvalue >= -profile.psd_tol:  # NaN fails too
+        raise NotPsdError(inv.min_eigenvalue)
     return DensityMatrix(_freeze(a), a.shape[0], n)
 
 

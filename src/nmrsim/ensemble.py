@@ -20,6 +20,7 @@ from nmrsim.core import (
     validate_density,
 )
 from nmrsim.errors import DimMismatchError, NotNormalizedError, ParseError, WrongDimError
+from nmrsim.serialize import require_number
 
 __all__ = [
     "PRODUCT_CONCURRENCE_TOL",
@@ -27,13 +28,10 @@ __all__ = [
     "MemberEntanglement",
     "MemberEntanglementReport",
     "density_of",
-    "same_density",
     "concurrence",
     "entanglement_report",
-    "merge_histories",
     "uniform_computational_history",
     "uniform_bell_history",
-    "history_to_dict",
     "history_from_dict",
 ]
 
@@ -88,14 +86,6 @@ def density_of(h: EnsembleHistory) -> DensityMatrix:
     return validate_density(acc, STRICT)
 
 
-def same_density(h1: EnsembleHistory, h2: EnsembleHistory, tol: float) -> bool:
-    """True iff the two histories average to the same matrix within ``tol``."""
-    if h1.dim != h2.dim:
-        raise DimMismatchError(f"history dims differ: {h1.dim} != {h2.dim}")
-    diff = density_of(h1).matrix - density_of(h2).matrix
-    return float(np.max(np.abs(diff))) <= tol
-
-
 def concurrence(psi: PureState) -> float:
     """Entanglement of a 2-qubit pure state: 2|a d - b c| for amplitudes (a,b,c,d).
 
@@ -120,17 +110,6 @@ def entanglement_report(h: EnsembleHistory) -> MemberEntanglementReport:
     return MemberEntanglementReport(h.label, rows)
 
 
-def merge_histories(h1: EnsembleHistory, h2: EnsembleHistory, weight: float, label: str = "") -> EnsembleHistory:
-    """Mix two histories: ``weight`` of h1 and ``1 - weight`` of h2."""
-    if not 0.0 < weight < 1.0:
-        raise ValueError(f"mixing weight must lie strictly in (0, 1), got {weight}")
-    if h1.dim != h2.dim:
-        raise DimMismatchError(f"history dims differ: {h1.dim} != {h2.dim}")
-    members = [(weight * w, psi) for w, psi in h1.members]
-    members += [((1.0 - weight) * w, psi) for w, psi in h2.members]
-    return EnsembleHistory(label or f"{weight:g}*({h1.label}) + {1 - weight:g}*({h2.label})", tuple(members))
-
-
 def uniform_computational_history(n_qubits: int = 2) -> EnsembleHistory:
     """Equal parts of every computational basis state; averages to I/d."""
     d = 1 << n_qubits
@@ -142,20 +121,6 @@ def uniform_bell_history() -> EnsembleHistory:
     """Equal parts of the four Bell states; averages to the same I/4."""
     members = tuple((0.25, bell_state(kind)) for kind in ("phi+", "phi-", "psi+", "psi-"))
     return EnsembleHistory("uniform Bell-basis mixture", members)
-
-
-def history_to_dict(h: EnsembleHistory) -> dict:
-    return {
-        "label": h.label,
-        "members": [
-            {
-                "weight": float(w),
-                "re": [float(x) for x in psi.amplitudes.real],
-                "im": [float(x) for x in psi.amplitudes.imag],
-            }
-            for w, psi in h.members
-        ],
-    }
 
 
 def history_from_dict(obj) -> EnsembleHistory:
@@ -175,16 +140,13 @@ def history_from_dict(obj) -> EnsembleHistory:
         missing = {"weight", "re", "im"} - entry.keys()
         if missing:
             raise ParseError(f"member {i} missing keys: {sorted(missing)}")
-        w = entry["weight"]
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ParseError(f"member {i} weight must be a number")
+        w = require_number(entry["weight"], f"member {i} weight")
         re, im = entry["re"], entry["im"]
         if not isinstance(re, list) or not isinstance(im, list) or len(re) != len(im):
             raise ParseError(f'member {i}: "re" and "im" must be equal-length lists')
-        for part in (re, im):
-            for x in part:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise ParseError(f"member {i} has a non-numeric amplitude")
+        where_re, where_im = f'member {i} "re"', f'member {i} "im"'
+        re = [require_number(x, where_re) for x in re]
+        im = [require_number(x, where_im) for x in im]
         amps = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-        members.append((float(w), pure_state(amps)))
+        members.append((w, pure_state(amps)))
     return EnsembleHistory(label, tuple(members))

@@ -6,18 +6,16 @@ contribute net signal: it scales readout intensity and is inert under unitary
 evolution, which is why it carries no information about entanglement.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from nmrsim.core import STRICT, DensityMatrix, purity, validate_density
-from nmrsim.errors import DimMismatchError, NotNormalizedError, NotPureError, ParseError
+from nmrsim.errors import DimMismatchError, NotNormalizedError, NotPureError
 
 __all__ = [
     "PURITY_TOL",
-    "PseudoPureState",
     "PopulationVector",
     "EpsilonEstimate",
     "AveragedState",
@@ -26,9 +24,6 @@ __all__ = [
     "extract_epsilon",
     "exhaustive_average",
     "net_signal",
-    "snr_with_repetitions",
-    "population_to_dict",
-    "population_from_dict",
 ]
 
 PURITY_TOL = 1e-9
@@ -40,24 +35,6 @@ def _require_pure(rho1: DensityMatrix) -> None:
     p = purity(rho1)
     if abs(p - 1.0) > PURITY_TOL:
         raise NotPureError(p)
-
-
-@dataclass(frozen=True)
-class PseudoPureState:
-    """The (eps, rho1) pair; ``density()`` yields the composed mixture."""
-
-    epsilon: float
-    rho1: DensityMatrix
-    n_qubits: int = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        _require_pure(self.rho1)
-        object.__setattr__(self, "n_qubits", self.rho1.n_qubits)
-
-    def density(self) -> DensityMatrix:
-        return compose_pseudopure(self.epsilon, self.rho1)
 
 
 @dataclass(frozen=True)
@@ -158,39 +135,3 @@ def net_signal(p: PopulationVector) -> NetSignal:
         raise ValueError(f"expected a single-qubit population pair, got length {p.counts.size}")
     n0, n1 = (float(x) for x in p.counts)
     return NetSignal(n0 - n1, abs(n0 - n1))
-
-
-def snr_with_repetitions(eps: float, repetitions: int) -> float:
-    """Relative signal-to-noise after averaging repeated runs.
-
-    Model declaration, not a measured law: with independent identically
-    distributed shot noise, averaging R repetitions scales SNR as
-    ``eps * sqrt(R)``.
-    """
-    if eps < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {eps}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be a positive integer, got {repetitions}")
-    return eps * math.sqrt(repetitions)
-
-
-def population_to_dict(p: PopulationVector) -> dict:
-    return {"counts": [float(x) for x in p.counts], "normalized": bool(p.normalized)}
-
-
-def population_from_dict(obj) -> PopulationVector:
-    """Parse ``{"counts": [float, ...], "normalized": bool}``."""
-    if not isinstance(obj, dict):
-        raise ParseError("population document must be a JSON object")
-    missing = {"counts", "normalized"} - obj.keys()
-    if missing:
-        raise ParseError(f"population document missing keys: {sorted(missing)}")
-    counts = obj["counts"]
-    if not isinstance(counts, list) or not counts:
-        raise ParseError('"counts" must be a non-empty list')
-    for x in counts:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError('"counts" entries must be numbers')
-    if not isinstance(obj["normalized"], bool):
-        raise ParseError('"normalized" must be a boolean')
-    return PopulationVector(np.array(counts, dtype=float), obj["normalized"])

@@ -27,34 +27,26 @@ from nmrsim.core import (
     STRICT,
     DensityMatrix,
     UnitaryOperator,
+    density_invariants,
+    evolve,
     fidelity,
-    hermiticity_defect,
     trace_distance,
     validate_density,
     validate_unitary,
 )
 from nmrsim.serialize import matrix_to_dict
-from nmrsim.tomography import (
-    ShotNoiseConfig,
-    pauli_expectations,
-    project_psd,
-    reconstruct_linear,
-    simulate_shot_noise,
-    simplex_project,
-)
+from nmrsim.tomography import project_psd
 
 __all__ = [
     "ExperimentDataset",
     "MatrixDiagnostics",
     "ReproReport",
-    "PipelineReport",
     "BaselineCheck",
     "load_dataset",
     "closest_physical_state",
     "load_baselines",
     "reproduce_theory",
     "check_against_baselines",
-    "full_pipeline_demo",
     "export_dataset",
 ]
 
@@ -149,18 +141,6 @@ class ReproReport:
     diagnostics: dict
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    """Tomography round trip on the embedded initial state, then one step."""
-
-    shots: int
-    seed: int | None
-    recon_max_dev: float
-    recon_fidelity: float
-    evolved_max_dev_vs_theory: float
-    evolved_fidelity_vs_theory: float
-
-
 class BaselineCheck(NamedTuple):
     name: str
     computed: float
@@ -199,13 +179,12 @@ def load_baselines(path=None) -> dict:
 
 
 def _diagnose(m: np.ndarray, renormalized: bool = False, projected: bool = False) -> MatrixDiagnostics:
-    tr = complex(np.trace(m))
-    sym = (m + m.conj().T) / 2.0
+    inv = density_invariants(m)
     return MatrixDiagnostics(
-        trace_real=float(tr.real),
-        trace_deviation=float(abs(tr - 1.0)),
-        hermiticity_defect=hermiticity_defect(m),
-        min_eigenvalue=float(np.linalg.eigvalsh(sym).min()),
+        trace_real=float(inv.trace.real),
+        trace_deviation=float(abs(inv.trace - 1.0)),
+        hermiticity_defect=inv.hermiticity_defect,
+        min_eigenvalue=inv.min_eigenvalue,
         trace_renormalized=renormalized,
         psd_projected=projected,
     )
@@ -220,12 +199,9 @@ def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
     renormalized = abs(t - 1.0) > 1e-12
     a = np.asarray(m, dtype=complex) / t
     a = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(a)
-    projected = bool(w.min() < 0.0)
-    if projected:
-        w = simplex_project(w)
-        a = (v * w) @ v.conj().T
-    return validate_density(a, STRICT), renormalized, projected
+    projected = bool(np.linalg.eigvalsh(a).min() < 0.0)
+    state = project_psd(a) if projected else validate_density(a, STRICT)
+    return state, renormalized, projected
 
 
 def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
@@ -239,15 +215,12 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
     """
     if ds is None:
         ds = load_dataset()
-    for name, matrix in (
-        ("rho_initial", ds.rho_initial),
-        ("rho_exp_after", ds.rho_exp_after),
-        ("rho_th_printed", ds.rho_th_printed),
-    ):
-        validate_density(matrix, EXPERIMENTAL)  # any failure is a data-entry bug
+    # any validation failure is a data-entry bug
+    rho_initial = validate_density(ds.rho_initial, EXPERIMENTAL)
+    validate_density(ds.rho_exp_after, EXPERIMENTAL)
+    validate_density(ds.rho_th_printed, EXPERIMENTAL)
 
-    c = ds.c_corrected.matrix
-    computed = c @ ds.rho_initial @ c.conj().T
+    computed = evolve(rho_initial, ds.c_corrected).matrix
     max_dev = float(np.max(np.abs(computed - ds.rho_th_printed)))
 
     exp_state, exp_renorm, exp_proj = closest_physical_state(ds.rho_exp_after)
@@ -294,45 +267,6 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
             )
         )
     return checks
-
-
-def full_pipeline_demo(seed: int | None, shots: int, ds: ExperimentDataset | None = None) -> PipelineReport:
-    """Tomograph the embedded initial state, reconstruct, evolve, compare.
-
-    ``shots = 0`` is the sentinel for exact (noiseless) expectations; then
-    the linear reconstruction reproduces the input and the evolved result
-    reproduces ``reproduce_theory``'s computed matrix, both to 1e-10.
-    Deterministic for a fixed seed.
-    """
-    if ds is None:
-        ds = load_dataset()
-    rho_in = validate_density(ds.rho_initial, EXPERIMENTAL)
-    if shots == 0:
-        expectations = pauli_expectations(rho_in)
-    else:
-        if seed is None:
-            raise ValueError("a seed is required when simulating shot noise")
-        expectations = simulate_shot_noise(rho_in, ShotNoiseConfig(shots, seed))
-
-    recon = reconstruct_linear(expectations)
-    recon_max_dev = float(np.max(np.abs(recon - ds.rho_initial)))
-    input_metric, _, _ = closest_physical_state(ds.rho_initial)
-    recon_fidelity = fidelity(project_psd(recon), input_metric)
-
-    c = ds.c_corrected.matrix
-    evolved = c @ recon @ c.conj().T
-    theory = reproduce_theory(ds).computed_rho_th
-    evolved_max_dev = float(np.max(np.abs(evolved - theory)))
-    evolved_fidelity = fidelity(closest_physical_state(evolved)[0], closest_physical_state(theory)[0])
-
-    return PipelineReport(
-        shots=shots,
-        seed=seed,
-        recon_max_dev=recon_max_dev,
-        recon_fidelity=recon_fidelity,
-        evolved_max_dev_vs_theory=evolved_max_dev,
-        evolved_fidelity_vs_theory=evolved_fidelity,
-    )
 
 
 def export_dataset(directory, ds: ExperimentDataset | None = None) -> list[Path]:

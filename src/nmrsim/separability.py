@@ -5,6 +5,7 @@ sufficient for separability (Horodecki); for three qubits it is only
 necessary, and this module says so explicitly rather than overclaiming.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
 
 
 def _ppt_report(transposed: np.ndarray, tol: float) -> PPTReport:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"PPT tolerance must be finite and nonnegative, got {tol}")
     lam_min = float(np.linalg.eigvalsh((transposed + transposed.conj().T) / 2.0).min())
     return PPTReport(lam_min, lam_min >= -tol, tol)
 
@@ -111,6 +114,8 @@ def critical_epsilon_bisection(rho1: DensityMatrix, tol: float = 1e-10, ppt_tol:
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         if ppt(mid):
             lo = mid
         else:

@@ -12,7 +12,7 @@ import numpy as np
 
 from nmrsim.errors import ParseError
 
-__all__ = ["matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix", "load_json"]
+__all__ = ["require_number", "matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix", "load_json"]
 
 
 def matrix_to_dict(m) -> dict:
@@ -27,12 +27,17 @@ def matrix_to_dict(m) -> dict:
     }
 
 
-def _require_number(x, where: str) -> float:
+def require_number(x, where: str) -> float:
+    """``x`` as a float if it is a finite JSON number (not a bool), else ``ParseError``."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"{where}: expected a number, got {type(x).__name__}")
-    if not math.isfinite(x):
+    try:
+        v = float(x)
+    except OverflowError:  # a JSON integer beyond the double range
+        v = math.inf
+    if not math.isfinite(v):
         raise ParseError(f"{where}: non-finite value {x!r}")
-    return float(x)
+    return v
 
 
 def _parse_part(part, name: str, rows: int, cols: int) -> list[list[float]]:
@@ -42,7 +47,7 @@ def _parse_part(part, name: str, rows: int, cols: int) -> list[list[float]]:
     for i, row in enumerate(part):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
-        out.append([_require_number(x, f'"{name}"[{i}]') for x in row])
+        out.append([require_number(x, f'"{name}"[{i}]') for x in row])
     return out
 
 

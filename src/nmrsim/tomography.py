@@ -32,7 +32,6 @@ from nmrsim.errors import (
     NotHermitianError,
     NotSquareError,
     NumericalFailureError,
-    ParseError,
 )
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "reconstruct_linear",
     "simplex_project",
     "project_psd",
-    "expectations_to_dict",
-    "expectations_from_dict",
 ]
 
 MAX_QUBITS = 3
@@ -208,29 +205,3 @@ def project_psd(h) -> DensityMatrix:
     w = simplex_project(w)
     out = (v * w) @ v.conj().T
     return validate_density(out, STRICT)
-
-
-def expectations_to_dict(e: PauliExpectationSet) -> dict:
-    return {"n_qubits": int(e.n_qubits), "values": {k: float(v) for k, v in e.values.items()}}
-
-
-def expectations_from_dict(obj) -> PauliExpectationSet:
-    """Parse ``{"n_qubits": int, "values": {"XX": float, ...}}``."""
-    if not isinstance(obj, dict):
-        raise ParseError("expectation document must be a JSON object")
-    missing = {"n_qubits", "values"} - obj.keys()
-    if missing:
-        raise ParseError(f"expectation document missing keys: {sorted(missing)}")
-    n = obj["n_qubits"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ParseError('"n_qubits" must be an integer')
-    values = obj["values"]
-    if not isinstance(values, dict):
-        raise ParseError('"values" must be an object')
-    for k, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"expectation {k!r} must be a number")
-    try:
-        return PauliExpectationSet(n, {k: float(v) for k, v in values.items()})
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc

@@ -195,6 +195,28 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "separability")
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_ppt_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "separability", data_path("maximally_mixed_2q.json"), "--tol", tol)
+        assert code == 1
+        assert "verdict" not in out
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize(
+        "member",
+        [
+            '{"weight": NaN, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+            '{"weight": 1.0, "re": [Infinity, 0, 0, 0], "im": [0, 0, 0, 0]}',
+        ],
+        ids=["nan-weight", "infinite-amplitude"],
+    )
+    def test_non_finite_history_is_parse_error(self, capsys, tmp_path, member):
+        path = tmp_path / "history.json"
+        path.write_text(f'{{"label": "bad", "members": [{member}]}}')
+        code, _, err = run_cli(capsys, "ensemble", str(path))
+        assert code == 1
+        assert "cannot parse input" in err
+
     def test_shots_without_seed_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", "10")
         assert code == 1

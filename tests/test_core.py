@@ -10,6 +10,7 @@ from nmrsim.core import (
     bell_state,
     check_unitary,
     density_from_pure,
+    density_invariants,
     evolve,
     fidelity,
     pure_state,
@@ -28,6 +29,7 @@ from nmrsim.errors import (
     NotPsdError,
     NotSquareError,
     NotUnitaryError,
+    ValidationError,
 )
 from nmrsim.repro import load_dataset
 
@@ -70,6 +72,28 @@ class TestValidateDensity:
         with pytest.raises(BadTraceError) as exc:
             validate_density(np.eye(2), STRICT)
         assert exc.value.deviation == pytest.approx(1.0)
+
+    def test_error_order_hermiticity_then_trace_then_psd(self):
+        m = np.diag([1.0, 0.5, -0.1, -0.1]).astype(complex)
+        inv = density_invariants(m)
+        assert inv.trace == pytest.approx(1.3)
+        assert inv.hermiticity_defect == 0.0
+        assert inv.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+        with pytest.raises(BadTraceError):
+            validate_density(m, STRICT)
+        m[0, 1] = 0.25
+        assert density_invariants(m).hermiticity_defect == pytest.approx(0.25)
+        with pytest.raises(NotHermitianError):
+            validate_density(m, STRICT)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_entry_rejected(self, where):
+        # the eigensolver has no defined result here; it used to pass or raise LinAlgError
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = np.nan
+        assert np.isnan(density_invariants(m).min_eigenvalue)
+        with pytest.raises(ValidationError):
+            validate_density(m, STRICT)
 
     def test_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2, STRICT)

@@ -8,14 +8,10 @@ from nmrsim.core import STRICT, basis_state, bell_state, density_from_pure, evol
 from nmrsim.errors import DimMismatchError, DimNotPowerOfTwoError, NotNormalizedError, NotPureError
 from nmrsim.pseudopure import (
     PopulationVector,
-    PseudoPureState,
     compose_pseudopure,
     exhaustive_average,
     extract_epsilon,
     net_signal,
-    population_from_dict,
-    population_to_dict,
-    snr_with_repetitions,
 )
 
 
@@ -46,11 +42,6 @@ class TestCompose:
         mixed = validate_density(np.eye(4) / 4, STRICT)
         with pytest.raises(NotPureError):
             compose_pseudopure(0.5, mixed)
-
-    def test_pseudopure_state_type(self):
-        pps = PseudoPureState(0.5, density_from_pure(bell_state("phi+")))
-        assert pps.n_qubits == 2
-        assert max_abs_diff(pps.density().matrix, compose_pseudopure(0.5, pps.rho1).matrix) == 0.0
 
 
 class TestExtract:
@@ -205,30 +196,6 @@ class TestNetSignal:
             net_signal(PopulationVector(np.array([1.0, 2.0, 3.0])))
 
 
-class TestSnr:
-    def test_single_repetition(self):
-        assert snr_with_repetitions(0.25, 1) == 0.25
-
-    def test_sixteen_repetitions(self):
-        assert snr_with_repetitions(0.25, 16) == pytest.approx(1.0, abs=1e-15)
-
-    def test_pure_signal_four_repetitions(self):
-        assert snr_with_repetitions(1.0, 4) == pytest.approx(2.0, abs=1e-15)
-
-    def test_strictly_increasing(self):
-        values = [snr_with_repetitions(0.1, r) for r in (1, 2, 4, 8)]
-        assert all(a < b for a, b in zip(values, values[1:]))
-        assert snr_with_repetitions(0.2, 5) > snr_with_repetitions(0.1, 5)
-
-    def test_zero_repetitions(self):
-        with pytest.raises(ValueError):
-            snr_with_repetitions(0.5, 0)
-
-    def test_negative_epsilon(self):
-        with pytest.raises(ValueError):
-            snr_with_repetitions(-0.1, 3)
-
-
 class TestPopulationVector:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -237,9 +204,3 @@ class TestPopulationVector:
     def test_normalized_flag_checked(self):
         with pytest.raises(NotNormalizedError):
             PopulationVector(np.array([0.6, 0.6]), normalized=True)
-
-    def test_json_round_trip(self):
-        p = PopulationVector(np.array([5.0, 3.0]))
-        again = population_from_dict(population_to_dict(p))
-        assert np.array_equal(again.counts, p.counts)
-        assert again.normalized == p.normalized

@@ -1,9 +1,7 @@
-import dataclasses
 import json
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from helpers import max_abs_diff
 from nmrsim.core import EXPERIMENTAL, STRICT, check_unitary, validate_density
@@ -11,7 +9,6 @@ from nmrsim.repro import (
     check_against_baselines,
     closest_physical_state,
     export_dataset,
-    full_pipeline_demo,
     load_baselines,
     load_dataset,
     reproduce_theory,
@@ -171,29 +168,6 @@ class TestClosestPhysicalState:
         state, renorm, projected = closest_physical_state(ds.rho_exp_after)
         assert renorm and projected
         validate_density(state.matrix, STRICT)
-
-
-class TestFullPipeline:
-    def test_noiseless_round_trip(self):
-        report = full_pipeline_demo(seed=None, shots=0)
-        assert report.recon_max_dev <= 1e-10
-        assert report.evolved_max_dev_vs_theory <= 1e-10
-        assert report.recon_fidelity == pytest.approx(1.0, abs=1e-7)
-        assert report.evolved_fidelity_vs_theory == pytest.approx(1.0, abs=1e-7)
-
-    def test_deterministic_for_fixed_seed(self):
-        a = full_pipeline_demo(seed=424242, shots=10**5)
-        b = full_pipeline_demo(seed=424242, shots=10**5)
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-    def test_seed_required_with_shots(self):
-        with pytest.raises(ValueError):
-            full_pipeline_demo(seed=None, shots=100)
-
-    def test_more_shots_better_reconstruction_on_average(self):
-        few = np.mean([full_pipeline_demo(seed=s, shots=100).recon_fidelity for s in range(20)])
-        many = np.mean([full_pipeline_demo(seed=s, shots=10**5).recon_fidelity for s in range(20)])
-        assert many > few
 
 
 class TestExportAndBaselines:

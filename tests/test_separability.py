@@ -87,6 +87,14 @@ class TestPptReport:
         with pytest.raises(WrongDimError):
             is_separable_2q(validate_density(np.eye(8) / 8, STRICT))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        mixed = validate_density(np.eye(4) / 4, STRICT)
+        with pytest.raises(ValueError, match="tolerance"):
+            is_separable_2q(mixed, tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            ppt_first_vs_rest(mixed, tol)
+
 
 class TestPptFirstVsRest:
     def test_ghz_fails(self):
@@ -114,6 +122,10 @@ class TestCriticalEpsilon:
         rho1 = density_from_pure(bell_state("phi+"))
         assert critical_epsilon(rho1) == pytest.approx(1 / 3, abs=1e-9)
         assert critical_epsilon_bisection(rho1) == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_bisection_terminates_at_zero_tolerance(self):
+        rho1 = density_from_pure(bell_state("phi+"))
+        assert critical_epsilon_bisection(rho1, tol=0.0) == pytest.approx(critical_epsilon(rho1), abs=1e-9)
 
     def test_product_target_always_separable(self):
         rho1 = density_from_pure(basis_state(2, 0))

@@ -45,9 +45,10 @@ def test_rejects_non_numeric_entries():
 
 
 def test_rejects_non_finite():
-    doc = {"rows": 1, "cols": 1, "re": [[float("nan")]], "im": [[0.0]]}
-    with pytest.raises(ParseError):
-        matrix_from_dict(doc)
+    for value in (float("nan"), float("inf"), 10**400):  # the last overflows a double
+        doc = {"rows": 1, "cols": 1, "re": [[value]], "im": [[0.0]]}
+        with pytest.raises(ParseError):
+            matrix_from_dict(doc)
 
 
 def test_rejects_bad_dimensions():

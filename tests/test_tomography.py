@@ -3,12 +3,10 @@ import pytest
 
 from helpers import max_abs_diff, random_density
 from nmrsim.core import STRICT, basis_state, bell_state, density_from_pure, fidelity, validate_density
-from nmrsim.errors import BadTraceError, NotHermitianError, ParseError
+from nmrsim.errors import BadTraceError, NotHermitianError
 from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
-    expectations_from_dict,
-    expectations_to_dict,
     pauli_expectations,
     pauli_labels,
     pauli_matrix,
@@ -225,15 +223,3 @@ class TestNoisyPipeline:
             noisy = simulate_shot_noise(rho, ShotNoiseConfig(10**5, seed))
             state = project_psd(reconstruct_linear(noisy))
             assert fidelity(state, rho) >= 0.99
-
-
-def test_expectation_json_round_trip():
-    rng = np.random.default_rng(137)
-    e = pauli_expectations(random_density(rng, 4))
-    again = expectations_from_dict(expectations_to_dict(e))
-    assert again.values == e.values
-
-
-def test_expectation_json_rejects_incomplete():
-    with pytest.raises(ParseError):
-        expectations_from_dict({"n_qubits": 1, "values": {"I": 1.0}})
