@@ -6,6 +6,7 @@ operations are pure functions: inputs are never mutated, wrapped arrays are
 marked read-only, and values can be shared freely between threads.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +73,16 @@ class ValidationProfile:
     hermiticity_tol: float
     trace_tol: float
     psd_tol: float
+
+    def __post_init__(self):
+        for field in ("hermiticity_tol", "trace_tol", "psd_tol"):
+            _require_tolerance(getattr(self, field), f"{self.name} profile {field}")
+
+
+def _require_tolerance(tol: float, what: str) -> None:
+    """Reject a NaN, infinite or negative tolerance, which no comparison can honour."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{what} must be finite and nonnegative, got {tol}")
 
 
 STRICT = ValidationProfile("strict", 1e-10, 1e-10, 1e-10)
@@ -212,6 +223,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
 
 def check_unitary(m, tol: float = 1e-10) -> UnitarityCheck:
     """Measure the unitarity defect ``max |m^dag m - I|`` against ``tol``."""
+    _require_tolerance(tol, "unitarity tolerance")
     a = _as_complex_matrix(m)
     _require_square(a)
     defect = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))

@@ -5,12 +5,11 @@ sufficient for separability (Horodecki); for three qubits it is only
 necessary, and this module says so explicitly rather than overclaiming.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nmrsim.core import DensityMatrix
+from nmrsim.core import DensityMatrix, _require_tolerance
 from nmrsim.errors import WrongDimError
 from nmrsim.pseudopure import _require_pure, compose_pseudopure
 
@@ -55,8 +54,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
 
 
 def _ppt_report(transposed: np.ndarray, tol: float) -> PPTReport:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"PPT tolerance must be finite and nonnegative, got {tol}")
+    _require_tolerance(tol, "PPT tolerance")
     lam_min = float(np.linalg.eigvalsh((transposed + transposed.conj().T) / 2.0).min())
     return PPTReport(lam_min, lam_min >= -tol, tol)
 

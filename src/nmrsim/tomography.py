@@ -6,6 +6,12 @@ expectation values ``<P> = tr(rho P)``, reconstruct by linear inversion
 the closest unit-trace PSD matrix (Frobenius norm), which reduces to
 projecting the eigenvalue vector onto the probability simplex.
 
+The ``4^n`` Pauli products of each qubit count are built once, on first use,
+into a read-only ``(4^n, d, d)`` stack in canonical label order.  Every
+per-label sum is then a single array contraction over that stack: one
+``einsum`` gives all expectations, one vectorized binomial draw gives all
+shot-noise counts, and one ``tensordot`` gives the linear reconstruction.
+
 Randomness contract: shot noise uses ``numpy.random.default_rng(seed)``
 (the PCG64 generator, stable across platforms).  Each non-identity label, in
 the canonical order produced by :func:`pauli_labels`, consumes exactly one
@@ -23,6 +29,7 @@ from nmrsim.core import (
     PAULI_1Q,
     STRICT,
     DensityMatrix,
+    _eigh_or_fail,
     hermiticity_defect,
     tensor,
     validate_density,
@@ -71,6 +78,19 @@ def pauli_matrix(label: str) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=None)
+def _labels(n_qubits: int) -> tuple[str, ...]:
+    return tuple(pauli_labels(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _stack(n_qubits: int) -> np.ndarray:
+    """Read-only ``(4^n, d, d)`` array of :func:`pauli_matrix` in label order."""
+    s = np.stack([pauli_matrix(label) for label in _labels(n_qubits)])
+    s.setflags(write=False)
+    return s
+
+
 @dataclass(frozen=True)
 class PauliExpectationSet:
     """Complete set of Pauli product expectations for ``n_qubits`` qubits.
@@ -85,7 +105,7 @@ class PauliExpectationSet:
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits}")
-        expected = pauli_labels(self.n_qubits)
+        expected = _labels(self.n_qubits)
         values = dict(self.values)
         missing = [l for l in expected if l not in values]
         if missing:
@@ -126,15 +146,14 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     imaginary residue beyond 1e-12 on the others is a numerical failure.
     """
     _require_small(rho)
-    identity = "I" * rho.n_qubits
-    values = {identity: 1.0}
-    for label in pauli_labels(rho.n_qubits):
-        if label == identity:
-            continue
-        t = complex(np.trace(rho.matrix @ pauli_matrix(label)))
-        if abs(t.imag) > 1e-12:
-            raise NumericalFailureError(f"expectation {label} has imaginary part {t.imag:.3e}")
-        values[label] = float(t.real)
+    labels = _labels(rho.n_qubits)
+    t = np.einsum("kij,ji->k", _stack(rho.n_qubits), rho.matrix)
+    bad = np.flatnonzero(np.abs(t.imag[1:]) > 1e-12)
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise NumericalFailureError(f"expectation {labels[k]} has imaginary part {t.imag[k]:.3e}")
+    values = dict(zip(labels, t.real.tolist()))
+    values[labels[0]] = 1.0
     return PauliExpectationSet(rho.n_qubits, values)
 
 
@@ -148,14 +167,11 @@ def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpect
     exact = pauli_expectations(rho)
     rng = np.random.default_rng(cfg.seed)
     shots = cfg.shots_per_observable
-    identity = "I" * rho.n_qubits
-    values = {identity: 1.0}
-    for label in pauli_labels(rho.n_qubits):
-        if label == identity:
-            continue
-        p_up = min(max((1.0 + exact.values[label]) / 2.0, 0.0), 1.0)
-        ups = int(rng.binomial(shots, p_up))
-        values[label] = 2.0 * ups / shots - 1.0
+    labels = _labels(rho.n_qubits)
+    t = np.fromiter(exact.values.values(), dtype=float, count=len(labels))
+    ups = rng.binomial(shots, np.clip((1.0 + t[1:]) / 2.0, 0.0, 1.0))
+    values = dict(zip(labels[1:], (2.0 * ups / shots - 1.0).tolist()))
+    values[labels[0]] = 1.0
     return PauliExpectationSet(rho.n_qubits, values)
 
 
@@ -166,11 +182,8 @@ def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
     coefficient is pinned to 1); eigenvalues may be negative under noise, so
     follow with :func:`project_psd` when a physical state is required.
     """
-    d = 1 << e.n_qubits
-    acc = np.zeros((d, d), dtype=complex)
-    for label in pauli_labels(e.n_qubits):
-        acc += e.values[label] * pauli_matrix(label)
-    return acc / d
+    coeffs = np.fromiter(e.values.values(), dtype=float, count=len(e.values))
+    return np.tensordot(coeffs, _stack(e.n_qubits), 1) / (1 << e.n_qubits)
 
 
 def simplex_project(v) -> np.ndarray:
@@ -195,13 +208,13 @@ def project_psd(h) -> DensityMatrix:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
     herm = hermiticity_defect(a)
-    if herm > 1e-9:
+    if not herm <= 1e-9:  # NaN fails too
         raise NotHermitianError(herm)
     trace_dev = abs(complex(np.trace(a)) - 1.0)
-    if trace_dev > 1e-9:
+    if not trace_dev <= 1e-9:
         raise BadTraceError(trace_dev)
     sym = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
+    w, v = _eigh_or_fail(sym)
     w = simplex_project(w)
     out = (v * w) @ v.conj().T
     return validate_density(out, STRICT)

@@ -6,6 +6,7 @@ from nmrsim.core import (
     EXPERIMENTAL,
     PAULI_1Q,
     STRICT,
+    ValidationProfile,
     basis_state,
     bell_state,
     check_unitary,
@@ -94,6 +95,19 @@ class TestValidateDensity:
         assert np.isnan(density_invariants(m).min_eigenvalue)
         with pytest.raises(ValidationError):
             validate_density(m, STRICT)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("field", range(3), ids=["hermiticity", "trace", "psd"])
+    def test_profile_rejects_unusable_tolerance(self, field, bad):
+        # NaN fails every `>` check, so a NaN trace tolerance would accept diag(2, 0, 0, 0)
+        tols = [1e-10, 1e-10, 1e-10]
+        tols[field] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ValidationProfile("x", *tols)
+
+    def test_profile_accepts_zero_tolerance(self):
+        rho = validate_density(np.eye(2) / 2, ValidationProfile("exact", 0.0, 0.0, 0.0))
+        assert rho.dim == 2
 
     def test_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2, STRICT)
@@ -232,6 +246,14 @@ class TestCheckUnitary:
     def test_not_square(self):
         with pytest.raises(NotSquareError):
             check_unitary(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_unusable_tolerance(self, tol):
+        # no defect, not even the identity's 0.0, passes `<=` a NaN or negative tolerance
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check_unitary(np.eye(2), tol)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            validate_unitary(np.eye(2), tol)
 
     def test_validate_unitary_rejects(self):
         with pytest.raises(NotUnitaryError) as exc:

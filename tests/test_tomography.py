@@ -1,9 +1,22 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import max_abs_diff, random_density
-from nmrsim.core import STRICT, basis_state, bell_state, density_from_pure, fidelity, validate_density
-from nmrsim.errors import BadTraceError, NotHermitianError
+from nmrsim.core import (
+    STRICT,
+    DensityMatrix,
+    basis_state,
+    bell_state,
+    density_from_pure,
+    fidelity,
+    validate_density,
+)
+from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError
 from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
@@ -33,6 +46,49 @@ def brute_force_simplex(v):
             if best is None or dist < best - 1e-15:
                 best, best_x = dist, x
     return best_x
+
+
+_ORACLE_PAULI = {
+    "I": np.array([[1, 0], [0, 1]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def oracle_expectations(rho):
+    """Independent oracle: ``tr(rho P)`` label by label, in canonical order."""
+    out = {}
+    for chars in itertools.product("IXYZ", repeat=rho.n_qubits):
+        p = reduce(np.kron, [_ORACLE_PAULI[c] for c in chars])
+        out["".join(chars)] = complex(np.trace(rho.matrix @ p))
+    return out
+
+
+def oracle_shot_noise(rho, shots, seed):
+    """The documented randomness contract, one scalar binomial draw per label."""
+    rng = np.random.default_rng(seed)
+    identity = "I" * rho.n_qubits
+    values = {identity: 1.0}
+    for label, t in oracle_expectations(rho).items():
+        if label == identity:
+            continue
+        p_up = min(max((1.0 + t.real) / 2.0, 0.0), 1.0)
+        values[label] = 2.0 * int(rng.binomial(shots, p_up)) / shots - 1.0
+    return values
+
+
+@st.composite
+def densities(draw):
+    """Random states of 1 to 3 qubits, of any rank, as ``G G^dag / tr``."""
+    n = draw(st.integers(1, 3))
+    d = 1 << n
+    rank = draw(st.integers(1, d))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    g = np.array(draw(st.lists(parts, min_size=2 * d * rank, max_size=2 * d * rank)))
+    g = (g[: d * rank] + 1j * g[d * rank :]).reshape(d, rank)
+    m = g @ g.conj().T + 1e-6 * np.eye(d)
+    return validate_density(m / np.trace(m).real, STRICT)
 
 
 class TestPauliBasis:
@@ -76,6 +132,22 @@ class TestExpectations:
     def test_too_many_qubits(self):
         with pytest.raises(ValueError):
             pauli_expectations(validate_density(np.eye(16) / 16, STRICT))
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_matches_per_label_trace_oracle(self, n_qubits):
+        rng = np.random.default_rng(70 + n_qubits)
+        for _ in range(10):
+            rho = random_density(rng, 1 << n_qubits)
+            got = pauli_expectations(rho).values
+            want = oracle_expectations(rho)
+            assert list(got) == list(want)
+            assert max(abs(got[k] - want[k].real) for k in want) <= 1e-15
+
+    def test_imaginary_residue_is_numerical_failure(self):
+        # built directly to skip validation: tr(rho Y) = 0.5i, tr(rho X) is real
+        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(NumericalFailureError, match="expectation Y has imaginary part"):
+            pauli_expectations(DensityMatrix(m, 2, 1))
 
     def test_set_invariants(self):
         with pytest.raises(ValueError):
@@ -148,6 +220,16 @@ class TestShotNoise:
         e = simulate_shot_noise(rho, ShotNoiseConfig(3, 5))
         assert e.values["II"] == 1.0
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("shots", [1, 1000, 10**5])
+    def test_matches_scalar_draw_oracle(self, n_qubits, shots):
+        rng = np.random.default_rng(60 + n_qubits)
+        for seed in (0, 1, 7, 12345, 2**31 - 1):
+            rho = random_density(rng, 1 << n_qubits)
+            got = simulate_shot_noise(rho, ShotNoiseConfig(shots, seed)).values
+            want = oracle_shot_noise(rho, shots, seed)
+            assert list(got.items()) == list(want.items())
+
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
             ShotNoiseConfig(0, 1)
@@ -214,6 +296,14 @@ class TestProjectPsd:
         with pytest.raises(BadTraceError):
             project_psd(np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_nan_entry(self, where):
+        # NaN must fail the guards rather than reach the eigensolver
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = np.nan
+        with pytest.raises(NotHermitianError):
+            project_psd(m)
+
 
 class TestNoisyPipeline:
     def test_high_shot_fidelity(self):
@@ -223,3 +313,23 @@ class TestNoisyPipeline:
             noisy = simulate_shot_noise(rho, ShotNoiseConfig(10**5, seed))
             state = project_psd(reconstruct_linear(noisy))
             assert fidelity(state, rho) >= 0.99
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(densities())
+    def test_reconstruction_inverts_expectations(self, rho):
+        recon = reconstruct_linear(pauli_expectations(rho))
+        assert max_abs_diff(recon, rho.matrix) <= 1e-12
+
+    @settings(deadline=None)
+    @given(densities())
+    def test_expectations_are_real_and_bounded(self, rho):
+        values = pauli_expectations(rho).values
+        assert all(type(v) is float and abs(v) <= 1.0 + 1e-12 for v in values.values())
+
+    @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
+    def test_simplex_projection_is_idempotent(self, v):
+        once = simplex_project(v)
+        assert once.min() >= 0.0 and abs(once.sum() - 1.0) <= 1e-12
+        assert max_abs_diff(simplex_project(once), once) <= 1e-12
