@@ -80,7 +80,7 @@ def oracle_shot_noise(rho, shots, seed):
 
 @st.composite
 def densities(draw):
-    """Random states of 1 to 3 qubits, of any rank, as ``G G^dag / tr``."""
+    """Random 1- to 3-qubit states ``G G^dag / tr`` of rank 1 to d, plus 1e-6 I so the trace is never 0."""
     n = draw(st.integers(1, 3))
     d = 1 << n
     rank = draw(st.integers(1, d))
