@@ -14,6 +14,7 @@ Set ``NMRSIM_NO_COLOR`` to disable ANSI styling of text output.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -104,7 +105,12 @@ def _add_common(p: argparse.ArgumentParser, profile: bool = True) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Callers must not mutate it; each ``parse_args`` returns a fresh namespace.
+    """
     parser = _Parser(prog="nmrsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

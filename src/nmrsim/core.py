@@ -165,11 +165,27 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def _require_finite(m: np.ndarray) -> None:
+    # eigh/eigvalsh read one triangle only, so a NaN in the other one would
+    # otherwise pass silently, and a NaN they do read raises LinAlgError.
+    if not np.isfinite(m).all():
+        raise NumericalFailureError("matrix has a non-finite entry; its eigenvalues are undefined")
+
+
 def _eigh_or_fail(m: np.ndarray):
+    _require_finite(m)
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _eigvalsh_or_fail(m: np.ndarray) -> np.ndarray:
+    _require_finite(m)
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
 
 
 def density_invariants(m) -> DensityInvariants:
@@ -322,7 +338,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
     sq = _sqrt_psd(rho.matrix)
     inner = sq @ sigma.matrix @ sq
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    w = _eigvalsh_or_fail((inner + inner.conj().T) / 2.0)
     f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
     return min(max(f, 0.0), 1.0)
 
@@ -331,7 +347,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of ``rho - sigma``; in [0, 1]."""
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
-    w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
+    w = _eigvalsh_or_fail(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(w)))
 
 

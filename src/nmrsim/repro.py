@@ -16,7 +16,6 @@ arithmetic; they are never hand-entered.
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,6 +26,7 @@ from nmrsim.core import (
     STRICT,
     DensityMatrix,
     UnitaryOperator,
+    _eigvalsh_or_fail,
     density_invariants,
     evolve,
     fidelity,
@@ -161,17 +161,12 @@ def load_dataset() -> ExperimentDataset:
     )
 
 
-def _default_baselines_path():
-    return resources.files("nmrsim").joinpath("data/baselines.json")
+_BASELINES = Path(__file__).with_name("data") / "baselines.json"
 
 
 def load_baselines(path=None) -> dict:
     """Frozen regression baselines (see ``scripts/freeze_baselines.py``)."""
-    if path is None:
-        text = _default_baselines_path().read_text()
-    else:
-        text = Path(path).read_text()
-    obj = json.loads(text)
+    obj = json.loads(Path(_BASELINES if path is None else path).read_text())
     for key in ("values", "tolerances"):
         if key not in obj or not isinstance(obj[key], dict):
             raise ValueError(f'baselines file is missing the "{key}" table')
@@ -199,7 +194,7 @@ def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
     renormalized = abs(t - 1.0) > 1e-12
     a = np.asarray(m, dtype=complex) / t
     a = (a + a.conj().T) / 2.0
-    projected = bool(np.linalg.eigvalsh(a).min() < 0.0)
+    projected = bool(_eigvalsh_or_fail(a).min() < 0.0)
     state = project_psd(a) if projected else validate_density(a, STRICT)
     return state, renormalized, projected
 

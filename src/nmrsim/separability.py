@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nmrsim.core import DensityMatrix, _require_tolerance
+from nmrsim.core import DensityMatrix, _eigvalsh_or_fail, _require_tolerance
 from nmrsim.errors import WrongDimError
 from nmrsim.pseudopure import _require_pure, compose_pseudopure
 
@@ -55,7 +55,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
 
 def _ppt_report(transposed: np.ndarray, tol: float) -> PPTReport:
     _require_tolerance(tol, "PPT tolerance")
-    lam_min = float(np.linalg.eigvalsh((transposed + transposed.conj().T) / 2.0).min())
+    lam_min = float(_eigvalsh_or_fail((transposed + transposed.conj().T) / 2.0).min())
     return PPTReport(lam_min, lam_min >= -tol, tol)
 
 
@@ -90,7 +90,7 @@ def critical_epsilon(rho1: DensityMatrix) -> float:
     if rho1.dim != 4:
         raise WrongDimError(f"critical coefficient is defined for 2 qubits, got dim {rho1.dim}")
     _require_pure(rho1)
-    lam_min = float(np.linalg.eigvalsh(partial_transpose(rho1, "B")).min())
+    lam_min = float(_eigvalsh_or_fail(partial_transpose(rho1, "B")).min())
     return min(1.0, 1.0 / (1.0 - rho1.dim * lam_min))
 
 

@@ -118,7 +118,7 @@ class PauliExpectationSet:
             raise ValueError(f"identity expectation must be exactly 1, got {values[identity]}")
         for label in expected:
             v = float(values[label])
-            if abs(v) > 1.0 + 1e-12:
+            if not abs(v) <= 1.0 + 1e-12:  # NaN fails too
                 raise ValueError(f"expectation {label} = {v} exceeds magnitude 1")
             values[label] = v
         object.__setattr__(self, "values", {l: values[l] for l in expected})
@@ -143,12 +143,13 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     """Noiseless expectations ``tr(rho P)`` for every Pauli product ``P``.
 
     The identity entry is pinned to 1 (it is the trace by definition); any
-    imaginary residue beyond 1e-12 on the others is a numerical failure.
+    imaginary residue beyond 1e-12 (or a NaN) on the others is a numerical
+    failure.
     """
     _require_small(rho)
     labels = _labels(rho.n_qubits)
     t = np.einsum("kij,ji->k", _stack(rho.n_qubits), rho.matrix)
-    bad = np.flatnonzero(np.abs(t.imag[1:]) > 1e-12)
+    bad = np.flatnonzero(~(np.abs(t.imag[1:]) <= 1e-12))  # NaN fails too
     if bad.size:
         k = int(bad[0]) + 1
         raise NumericalFailureError(f"expectation {labels[k]} has imaginary part {t.imag[k]:.3e}")

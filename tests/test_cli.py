@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nmrsim.cli import main
+from nmrsim.cli import build_parser, main
 from nmrsim.repro import reproduce_theory
+from nmrsim.separability import DEFAULT_PPT_TOL
 from nmrsim.serialize import load_matrix, save_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -303,3 +304,40 @@ class TestBehaviour:
         run_cli(capsys, "ensemble", data_path("bell_mixture.json"))
         run_cli(capsys, "evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json"))
         assert list(workdir.iterdir()) == []
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; no call may leak state into the next."""
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "separability", "--critical", "--rho1", data_path("bell_state.json"), "--tol", "1e-3",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 1e-3
+        code, out, _ = run_cli(capsys, "separability", data_path("maximally_mixed_2q.json"), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tolerance"] == DEFAULT_PPT_TOL
+        assert payload["mode"] == "ppt"
+
+    def test_usage_error_then_valid_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tomography", data_path("maximally_mixed_2q.json"), "--shots", "many"])
+        assert exc.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "repro", "--format", "json")
+        assert code == 0
+        assert_matches_golden(out, "repro.json")
+
+    def test_parser_is_built_once(self, capsys):
+        for argv in (
+            ["repro", "--format", "json"],
+            ["separability", data_path("maximally_mixed_2q.json")],
+            ["ensemble", data_path("bell_mixture.json")],
+            ["repro"],
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()

@@ -6,6 +6,7 @@ from nmrsim.core import (
     EXPERIMENTAL,
     PAULI_1Q,
     STRICT,
+    DensityMatrix,
     ValidationProfile,
     basis_state,
     bell_state,
@@ -30,6 +31,7 @@ from nmrsim.errors import (
     NotPsdError,
     NotSquareError,
     NotUnitaryError,
+    NumericalFailureError,
     ValidationError,
 )
 from nmrsim.repro import load_dataset
@@ -196,6 +198,18 @@ class TestFidelityAndTraceDistance:
         sigma = random_density(rng, 4)
         assert fidelity(rho, sigma) < 1.0 - 1e-6
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 2)])
+    def test_non_finite_entry_is_numerical_failure(self, where):
+        # built directly to skip validation; eigvalsh reads one triangle only,
+        # so a NaN above the diagonal made trace_distance(r, r) return 0.0
+        m = np.eye(4, dtype=complex) / 4
+        m[where] = np.nan
+        r = DensityMatrix(m, 4, 2)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            trace_distance(r, r)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            fidelity(r, r)
 
     def test_dim_mismatch(self):
         a = validate_density(np.eye(2) / 2, STRICT)

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from helpers import max_abs_diff
 from nmrsim.core import EXPERIMENTAL, STRICT, check_unitary, validate_density
+from nmrsim.errors import NumericalFailureError
 from nmrsim.repro import (
     check_against_baselines,
     closest_physical_state,
@@ -168,6 +170,13 @@ class TestClosestPhysicalState:
         state, renorm, projected = closest_physical_state(ds.rho_exp_after)
         assert renorm and projected
         validate_density(state.matrix, STRICT)
+
+
+    def test_non_finite_entry_is_numerical_failure(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.nan
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            closest_physical_state(m)
 
 
 class TestExportAndBaselines:

@@ -4,6 +4,7 @@ import pytest
 from helpers import max_abs_diff, random_density, random_pure
 from nmrsim.core import (
     STRICT,
+    DensityMatrix,
     basis_state,
     bell_state,
     density_from_pure,
@@ -11,7 +12,7 @@ from nmrsim.core import (
     tensor,
     validate_density,
 )
-from nmrsim.errors import NotPureError, WrongDimError
+from nmrsim.errors import NotPureError, NumericalFailureError, WrongDimError
 from nmrsim.pseudopure import compose_pseudopure
 from nmrsim.separability import (
     critical_epsilon,
@@ -94,6 +95,16 @@ class TestPptReport:
             is_separable_2q(mixed, tol)
         with pytest.raises(ValueError, match="tolerance"):
             ppt_first_vs_rest(mixed, tol)
+
+
+    def test_non_finite_entry_is_numerical_failure(self):
+        # built directly to skip validation: a pure Bell projector with a NaN
+        m = density_from_pure(bell_state("phi+")).matrix.copy()
+        m[0, 1] = np.nan
+        rho = DensityMatrix(m, 4, 2)
+        for check in (is_separable_2q, ppt_first_vs_rest, critical_epsilon):
+            with pytest.raises(NumericalFailureError, match="non-finite"):
+                check(rho)
 
 
 class TestPptFirstVsRest:

@@ -149,6 +149,14 @@ class TestExpectations:
         with pytest.raises(NumericalFailureError, match="expectation Y has imaginary part"):
             pauli_expectations(DensityMatrix(m, 2, 1))
 
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_nan_entry_is_numerical_failure(self, where):
+        # built directly to skip validation; a NaN expectation must not come back
+        m = np.eye(4, dtype=complex) / 4
+        m[where] = np.nan
+        with pytest.raises(NumericalFailureError, match="imaginary part nan"):
+            pauli_expectations(DensityMatrix(m, 4, 2))
+
     def test_set_invariants(self):
         with pytest.raises(ValueError):
             PauliExpectationSet(1, {"I": 1.0, "X": 0.0, "Y": 0.0})  # missing Z
@@ -156,6 +164,8 @@ class TestExpectations:
             PauliExpectationSet(1, {"I": 0.999, "X": 0.0, "Y": 0.0, "Z": 0.0})
         with pytest.raises(ValueError):
             PauliExpectationSet(1, {"I": 1.0, "X": 1.5, "Y": 0.0, "Z": 0.0})
+        with pytest.raises(ValueError):
+            PauliExpectationSet(1, {"I": 1.0, "X": float("nan"), "Y": 0.0, "Z": 0.0})
         with pytest.raises(ValueError):
             PauliExpectationSet(1, {"I": 1.0, "X": 0.0, "Y": 0.0, "Z": 0.0, "Q": 0.0})
 
