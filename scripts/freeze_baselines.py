@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Recompute the frozen regression baselines for the embedded dataset.
+"""Recompute the frozen regression baselines for the bundled dataset.
 
 Never hand-edit ``src/nmrsim/data/baselines.json``: run this script instead.
 It recomputes every baseline with arithmetic independent of the library's
@@ -15,8 +15,9 @@ numerics:
   documents.
 
 The script re-transcribes the source values rather than importing them, and
-cross-checks that transcription against the package's embedded arrays, so a
-typo in either copy is caught here.
+cross-checks that transcription against the bundled dataset files in
+``src/nmrsim/data/`` (read through ``nmrsim.repro.load_dataset``), so a typo
+in either copy is caught here.
 
 Requires ``mpmath`` (not a runtime dependency of the package).
 """

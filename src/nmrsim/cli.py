@@ -14,6 +14,7 @@ Set ``NMRSIM_NO_COLOR`` to disable ANSI styling of text output.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -179,17 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diag_dict(d) -> dict:
-    return {
-        "trace_real": d.trace_real,
-        "trace_deviation": d.trace_deviation,
-        "hermiticity_defect": d.hermiticity_defect,
-        "min_eigenvalue": d.min_eigenvalue,
-        "trace_renormalized": d.trace_renormalized,
-        "psd_projected": d.psd_projected,
-    }
-
-
 def cmd_repro(args) -> int:
     ds = repro.load_dataset()
     report = repro.reproduce_theory(ds)
@@ -198,7 +188,7 @@ def cmd_repro(args) -> int:
     all_ok = all(c.ok for c in checks)
 
     if args.export:
-        repro.export_dataset(args.export, ds)
+        repro.export_dataset(args.export)
 
     if args.format == "json":
         _emit_json(
@@ -209,7 +199,7 @@ def cmd_repro(args) -> int:
                 "fidelity_exp_vs_computed_th": report.fidelity_exp_vs_computed_th,
                 "trace_distance_exp_vs_computed_th": report.trace_distance_exp_vs_computed_th,
                 "fidelity_computed_vs_printed_th": report.fidelity_computed_vs_printed_th,
-                "diagnostics": {k: _diag_dict(v) for k, v in report.diagnostics.items()},
+                "diagnostics": {k: dataclasses.asdict(v) for k, v in report.diagnostics.items()},
                 "baseline_checks": [c._asdict() for c in checks],
                 "all_baselines_ok": all_ok,
             }

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmrsim.core import STRICT, DensityMatrix, purity, validate_density
+from nmrsim.core import STRICT, DensityMatrix, _require_finite, purity, validate_density
 from nmrsim.errors import DimMismatchError, NotNormalizedError, NotPureError
 
 __all__ = [
@@ -32,6 +32,7 @@ _RANGE_SLACK = 1e-9
 
 
 def _require_pure(rho1: DensityMatrix) -> None:
+    _require_finite(rho1.matrix)  # a NaN purity would pass the comparison below
     p = purity(rho1)
     if abs(p - 1.0) > PURITY_TOL:
         raise NotPureError(p)

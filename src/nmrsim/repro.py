@@ -1,4 +1,4 @@
-"""Embedded two-qubit NMR experiment dataset and its reproduction.
+"""Bundled two-qubit NMR experiment dataset and its reproduction.
 
 The dataset is a transcription of published tomography records from a
 two-qubit liquid-state NMR run of one quantum-search step: the step operator,
@@ -7,6 +7,11 @@ theoretical prediction for the evolved state.  All values are 4-decimal as
 printed in the source, so the matrices are only experimental-profile valid
 (tiny trace defects and slightly negative eigenvalues).
 
+The dataset is the six JSON files in ``data/``: five matrices in the
+repo-wide schema and ``metadata.json``, whose notes record the ambiguous
+(4,4) entry of the step operator.  ``load_dataset`` reads them once per
+process; ``export_dataset`` copies them byte for byte.
+
 ``reproduce_theory`` recomputes the evolved state, compares it entrywise with
 the stated prediction and measures experiment-vs-theory distances.  The
 resulting numbers are regression-tested against frozen baselines computed
@@ -14,6 +19,7 @@ once by ``scripts/freeze_baselines.py`` with exact rational and 60-digit
 arithmetic; they are never hand-entered.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +40,7 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
-from nmrsim.serialize import matrix_to_dict
+from nmrsim.serialize import load_json, load_matrix
 from nmrsim.tomography import project_psd
 
 __all__ = [
@@ -49,62 +55,6 @@ __all__ = [
     "check_against_baselines",
     "export_dataset",
 ]
-
-# Step operator as printed: entries are exact quarters.  The (4,4) entry is
-# typeset ambiguously in the source (recorded verbatim in NOTES below); the
-# unique value making the matrix unitary is 1/4 - 3i/4, kept in _STEP_MATRIX.
-# _STEP_MATRIX_RAW carries the literal "+3i/4" reading, which is not unitary.
-_STEP_MATRIX = np.array(
-    [
-        [0.75 + 0.25j, -0.25 + 0.25j, -0.25 + 0.25j, 0.25 + 0.25j],
-        [-0.25 + 0.25j, 0.75 + 0.25j, -0.25 + 0.25j, 0.25 + 0.25j],
-        [-0.25 + 0.25j, -0.25 + 0.25j, 0.75 + 0.25j, 0.25 + 0.25j],
-        [-0.25 + 0.25j, -0.25 + 0.25j, -0.25 + 0.25j, 0.25 - 0.75j],
-    ]
-)
-_STEP_MATRIX_RAW = _STEP_MATRIX.copy()
-_STEP_MATRIX_RAW[3, 3] = 0.25 + 0.75j
-
-_RHO_INITIAL = np.array(
-    [
-        [0.1794, 0.1591 + 0.0208j, 0.0601 - 0.0001j, -0.0483 - 0.0549j],
-        [0.1591 - 0.0208j, 0.2453, 0.1247 - 0.0281j, -0.0514 - 0.1534j],
-        [0.0601 + 0.0001j, 0.1247 + 0.0281j, 0.3616, 0.0099 + 0.0682j],
-        [-0.0483 + 0.0549j, -0.0514 + 0.1534j, 0.0099 - 0.0682j, 0.2137],
-    ]
-)
-
-_RHO_EXP_AFTER = np.array(
-    [
-        [0.2278, 0.0858 + 0.0186j, 0.0640 + 0.0387j, 0.0691 - 0.0372j],
-        [0.0858 - 0.0186j, 0.1006, 0.1019 - 0.0062j, 0.1650 - 0.0893j],
-        [0.0640 - 0.0387j, 0.1019 + 0.0062j, 0.3921, 0.0454 - 0.0111j],
-        [0.0691 + 0.0372j, 0.1650 + 0.0893j, 0.0454 + 0.0111j, 0.2794],
-    ]
-)
-
-_RHO_TH_PRINTED = np.array(
-    [
-        [0.1849, 0.0891 + 0.0599j, 0.0758 + 0.0225j, 0.1146 - 0.0439j],
-        [0.0891 - 0.0599j, 0.0999, 0.0650 - 0.0446j, 0.1377 - 0.0861j],
-        [0.0758 - 0.0225j, 0.0650 + 0.0446j, 0.3876, 0.0018 - 0.0083j],
-        [0.1146 + 0.0439j, 0.1377 + 0.0861j, 0.0018 + 0.0083j, 0.3277],
-    ]
-)
-
-for _m in (_STEP_MATRIX, _STEP_MATRIX_RAW, _RHO_INITIAL, _RHO_EXP_AFTER, _RHO_TH_PRINTED):
-    _m.setflags(write=False)
-
-NOTES = (
-    "Transcription of published two-qubit liquid-state NMR tomography data for one "
-    "quantum-search step: the step operator c, the measured state before the step, "
-    "the measured state after it, and the stated theoretical prediction for the "
-    "evolved state.  All numeric values are 4-decimal as printed.  The (4,4) entry "
-    "of the step operator is typeset ambiguously in the source as '{1/4}{3I/4}'; "
-    "the unique unitary completion 1/4 - 3i/4 is used for computation, while the "
-    "literal '+3i/4' reading is kept as c_raw.  Basis order |00>, |01>, |10>, |11>; "
-    "the first bit is the 31P nuclear spin, the second the hydrogen nuclear spin."
-)
 
 
 @dataclass(frozen=True)
@@ -149,19 +99,33 @@ class BaselineCheck(NamedTuple):
     ok: bool
 
 
+_DATA = Path(__file__).with_name("data")
+
+
+def _read_frozen(name: str) -> np.ndarray:
+    m = load_matrix(_DATA / f"{name}.json")
+    m.setflags(write=False)
+    return m
+
+
+@functools.cache
 def load_dataset() -> ExperimentDataset:
-    """The embedded matrices, bit-exact to their printed 4-decimal values."""
+    """The bundled matrices, bit-exact to their printed 4-decimal values.
+
+    Read from ``data/`` once per process; the result is shared by every
+    later call, so all its arrays are read-only.
+    """
     return ExperimentDataset(
-        c_raw=_STEP_MATRIX_RAW,
-        c_corrected=validate_unitary(_STEP_MATRIX, 1e-12),
-        rho_initial=_RHO_INITIAL,
-        rho_exp_after=_RHO_EXP_AFTER,
-        rho_th_printed=_RHO_TH_PRINTED,
-        notes=NOTES,
+        c_raw=_read_frozen("step_matrix_raw"),
+        c_corrected=validate_unitary(_read_frozen("step_matrix"), 1e-12),
+        rho_initial=_read_frozen("rho_initial"),
+        rho_exp_after=_read_frozen("rho_exp_after"),
+        rho_th_printed=_read_frozen("rho_th_printed"),
+        notes=load_json(_DATA / "metadata.json")["notes"],
     )
 
 
-_BASELINES = Path(__file__).with_name("data") / "baselines.json"
+_BASELINES = _DATA / "baselines.json"
 
 
 def load_baselines(path=None) -> dict:
@@ -264,29 +228,16 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
     return checks
 
 
-def export_dataset(directory, ds: ExperimentDataset | None = None) -> list[Path]:
-    """Write the dataset to ``directory`` in the repo-wide matrix schema.
+def export_dataset(directory) -> list[Path]:
+    """Copy the six bundled dataset files into ``directory``, byte for byte.
 
-    Produces one JSON file per matrix plus a ``metadata.json`` sidecar with
-    the provenance notes; returns the written paths.
+    Returns the written paths.
     """
-    if ds is None:
-        ds = load_dataset()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {
-        "step_matrix.json": ds.c_corrected.matrix,
-        "step_matrix_raw.json": ds.c_raw,
-        "rho_initial.json": ds.rho_initial,
-        "rho_exp_after.json": ds.rho_exp_after,
-        "rho_th_printed.json": ds.rho_th_printed,
-    }
     written = []
-    for name, matrix in files.items():
+    for name in load_json(_DATA / "metadata.json")["files"] + ["metadata.json"]:
         path = directory / name
-        path.write_text(json.dumps(matrix_to_dict(matrix), indent=2) + "\n")
+        path.write_bytes((_DATA / name).read_bytes())
         written.append(path)
-    meta = directory / "metadata.json"
-    meta.write_text(json.dumps({"notes": ds.notes, "files": sorted(files)}, indent=2) + "\n")
-    written.append(meta)
     return written

@@ -63,7 +63,10 @@ def matrix_from_dict(obj) -> np.ndarray:
             raise ParseError(f'"{label}" must be a positive integer')
     re = _parse_part(obj["re"], "re", rows, cols)
     im = _parse_part(obj["im"], "im", rows, cols)
-    return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    # assigned, not added (re + 1j*im), so the sign of a zero survives
+    m = np.array(re, dtype=complex)
+    m.imag = im
+    return m
 
 
 def load_json(path) -> object:

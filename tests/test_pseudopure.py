@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import max_abs_diff, random_pure, random_unitary
-from nmrsim.core import STRICT, basis_state, bell_state, density_from_pure, evolve, validate_density
-from nmrsim.errors import DimMismatchError, DimNotPowerOfTwoError, NotNormalizedError, NotPureError
+from nmrsim.core import STRICT, DensityMatrix, basis_state, bell_state, density_from_pure, evolve, validate_density
+from nmrsim.errors import (
+    DimMismatchError,
+    DimNotPowerOfTwoError,
+    NotNormalizedError,
+    NotPureError,
+    NumericalFailureError,
+)
 from nmrsim.pseudopure import (
     PopulationVector,
     compose_pseudopure,
@@ -13,6 +19,24 @@ from nmrsim.pseudopure import (
     extract_epsilon,
     net_signal,
 )
+from nmrsim.separability import critical_epsilon_bisection
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: extract_epsilon(r, r),
+        lambda r: compose_pseudopure(0.5, r),
+        critical_epsilon_bisection,
+    ],
+    ids=["extract_epsilon", "compose_pseudopure", "critical_epsilon_bisection"],
+)
+def test_non_finite_target_is_numerical_failure(call):
+    # a NaN purity passes an abs(p - 1) > tol comparison, so it must be caught first
+    m = density_from_pure(bell_state("phi+")).matrix.copy()
+    m[0, 1] = np.nan
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        call(DensityMatrix(m, 4, 2))
 
 
 class TestCompose:

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from nmrsim.repro import (
     reproduce_theory,
 )
 from nmrsim.serialize import load_matrix
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "nmrsim" / "data"
 
 
 def frac_complex_matrix(m):
@@ -182,7 +186,7 @@ class TestClosestPhysicalState:
 class TestExportAndBaselines:
     def test_export_round_trips(self, tmp_path):
         ds = load_dataset()
-        written = export_dataset(tmp_path, ds)
+        written = export_dataset(tmp_path)
         assert sorted(p.name for p in written) == [
             "metadata.json",
             "rho_exp_after.json",
@@ -191,24 +195,35 @@ class TestExportAndBaselines:
             "step_matrix.json",
             "step_matrix_raw.json",
         ]
+        for path in written:
+            assert path.read_bytes() == (DATA / path.name).read_bytes(), path.name
         assert np.array_equal(load_matrix(tmp_path / "rho_initial.json"), ds.rho_initial)
         assert np.array_equal(load_matrix(tmp_path / "step_matrix.json"), ds.c_corrected.matrix)
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert "{1/4}{3I/4}" in meta["notes"]
 
-    def test_bundled_dataset_files_match_embedded(self):
-        from importlib import resources
-
+    def test_bundled_dataset_matches_independent_transcription(self):
+        # scripts/freeze_baselines.py re-transcribes the printed values as
+        # exact strings; every entry of the bundled files must equal them
+        pytest.importorskip("mpmath")
+        path = Path(__file__).resolve().parents[1] / "scripts" / "freeze_baselines.py"
+        spec = importlib.util.spec_from_file_location("freeze_baselines", path)
+        freeze = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(freeze)
         ds = load_dataset()
-        data = resources.files("nmrsim").joinpath("data")
-        for name, matrix in (
-            ("rho_initial.json", ds.rho_initial),
-            ("rho_exp_after.json", ds.rho_exp_after),
-            ("rho_th_printed.json", ds.rho_th_printed),
-            ("step_matrix.json", ds.c_corrected.matrix),
+        for name, rows, matrix in (
+            ("step matrix", freeze.STEP, ds.c_corrected.matrix),
+            ("rho_initial", freeze.RHO_INITIAL, ds.rho_initial),
+            ("rho_exp_after", freeze.RHO_EXP_AFTER, ds.rho_exp_after),
+            ("rho_th_printed", freeze.RHO_TH_PRINTED, ds.rho_th_printed),
         ):
-            with resources.as_file(data.joinpath(name)) as path:
-                assert np.array_equal(load_matrix(path), matrix), name
+            freeze.check_transcription(name, freeze.frac_matrix(rows), matrix)
+
+    def test_dataset_is_read_once_and_read_only(self):
+        ds = load_dataset()
+        assert load_dataset() is ds
+        for m in (ds.c_raw, ds.c_corrected.matrix, ds.rho_initial, ds.rho_exp_after, ds.rho_th_printed):
+            assert not m.flags.writeable
 
     def test_baselines_well_formed(self):
         baselines = load_baselines()

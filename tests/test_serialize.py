@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, array_shapes
 
-from nmrsim.errors import ParseError
+from nmrsim.ensemble import history_from_dict
+from nmrsim.errors import NmrsimError, ParseError
 from nmrsim.serialize import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
+
+# Everything json.loads can return.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
 
 
 def test_round_trip(tmp_path):
@@ -16,6 +27,42 @@ def test_round_trip(tmp_path):
 def test_dict_round_trip():
     m = np.array([[1.5, -2j], [0.25 + 1j, 0]])
     assert np.array_equal(matrix_from_dict(matrix_to_dict(m)), m)
+
+
+@given(
+    arrays(
+        complex,
+        array_shapes(min_dims=2, max_dims=2, max_side=5),
+        elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]]))
+def test_dict_round_trip_is_bit_exact(m):
+    assert matrix_from_dict(matrix_to_dict(m)).tobytes() == m.tobytes()
+
+
+def _dict_like(key_sets):
+    # arbitrary JSON objects, plus ones carrying the keys a parser looks for
+    return json_values | st.fixed_dictionaries({k: json_values for k in key_sets})
+
+
+@given(_dict_like(("rows", "cols", "re", "im")))
+def test_matrix_parser_raises_only_documented_errors(obj):
+    try:
+        matrix_from_dict(obj)
+    except (NmrsimError, ValueError):
+        pass
+
+
+@given(
+    _dict_like(("label", "members"))
+    | st.fixed_dictionaries({"label": st.text(), "members": st.lists(_dict_like(("weight", "re", "im")), max_size=3)})
+)
+def test_history_parser_raises_only_documented_errors(obj):
+    try:
+        history_from_dict(obj)
+    except (NmrsimError, ValueError):
+        pass
 
 
 def test_rejects_ragged_rows():
