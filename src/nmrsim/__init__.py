@@ -34,16 +34,12 @@ from nmrsim.ensemble import (
     concurrence,
     density_of,
     entanglement_report,
-    uniform_bell_history,
-    uniform_computational_history,
 )
 from nmrsim.pseudopure import (
-    AveragedState,
     EpsilonEstimate,
     NetSignal,
     PopulationVector,
     compose_pseudopure,
-    exhaustive_average,
     extract_epsilon,
     net_signal,
 )

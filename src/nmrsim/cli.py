@@ -2,7 +2,8 @@
 
 Subcommands: repro, evolve, separability, tomography, ensemble.  Every
 subcommand takes ``--format {text,json}``; commands that validate density
-matrices take ``--profile {strict,experimental}``.
+matrices take ``--profile {strict,experimental}``.  Each subcommand builds
+one result, a dict, and ``--format`` only chooses how ``_render`` prints it.
 
 Exit codes (stable contract):
   0  success
@@ -14,7 +15,6 @@ Set ``NMRSIM_NO_COLOR`` to disable ANSI styling of text output.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -67,24 +67,12 @@ def _style(text: str, code: str) -> str:
     return text
 
 
-def _ok(text: str) -> str:
-    return _style(text, "32")
+def _fmt_complex(z: complex) -> str:
+    return f"{z.real:+.4f}{z.imag:+.4f}i"
 
 
-def _bad(text: str) -> str:
-    return _style(text, "31")
-
-
-def _fmt_complex(z: complex, digits: int = 4) -> str:
-    return f"{z.real:+.{digits}f}{z.imag:+.{digits}f}i"
-
-
-def _matrix_lines(m: np.ndarray, digits: int = 4) -> list[str]:
-    return ["  ".join(_fmt_complex(z, digits) for z in row) for row in np.asarray(m, dtype=complex)]
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _matrix_lines(m: np.ndarray, indent: str = "  ") -> list[str]:
+    return [indent + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m, dtype=complex)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,142 +168,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_repro(args) -> int:
-    ds = repro.load_dataset()
-    report = repro.reproduce_theory(ds)
-    baselines = repro.load_baselines(args.baselines)
-    checks = repro.check_against_baselines(report, baselines)
+def cmd_repro(args) -> tuple[int, dict]:
+    report = repro.reproduce_theory()
+    checks = repro.check_against_baselines(report, repro.load_baselines(args.baselines))
     all_ok = all(c.ok for c in checks)
-
     if args.export:
         repro.export_dataset(args.export)
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "repro",
-                "computed_rho_th": matrix_to_dict(report.computed_rho_th),
-                "max_dev_vs_printed_th": report.max_dev_vs_printed_th,
-                "fidelity_exp_vs_computed_th": report.fidelity_exp_vs_computed_th,
-                "trace_distance_exp_vs_computed_th": report.trace_distance_exp_vs_computed_th,
-                "fidelity_computed_vs_printed_th": report.fidelity_computed_vs_printed_th,
-                "diagnostics": {k: dataclasses.asdict(v) for k, v in report.diagnostics.items()},
-                "baseline_checks": [c._asdict() for c in checks],
-                "all_baselines_ok": all_ok,
-            }
-        )
-    else:
-        print("computed evolved state (c rho c^dag):")
-        computed_lines = _matrix_lines(report.computed_rho_th)
-        printed_lines = _matrix_lines(ds.rho_th_printed)
-        width = max(len(s) for s in computed_lines)
-        print(f"  {'computed':<{width}}  |  printed prediction")
-        for a, b in zip(computed_lines, printed_lines):
-            print(f"  {a:<{width}}  |  {b}")
-        print(f"max entry deviation vs printed: {report.max_dev_vs_printed_th:.6e}")
-        print(f"fidelity (measured vs computed): {report.fidelity_exp_vs_computed_th:.10f}")
-        print(f"trace distance (measured vs computed): {report.trace_distance_exp_vs_computed_th:.10f}")
-        print(f"fidelity (computed vs printed prediction, informational): "
-              f"{report.fidelity_computed_vs_printed_th:.10f}")
-        print("diagnostics:")
-        for name, d in report.diagnostics.items():
-            flags = []
-            if d.trace_renormalized:
-                flags.append("trace renormalized")
-            if d.psd_projected:
-                flags.append("PSD projected")
-            note = f" ({', '.join(flags)})" if flags else ""
-            print(
-                f"  {name}: trace={d.trace_real:.4f} herm_defect={d.hermiticity_defect:.1e} "
-                f"min_eig={d.min_eigenvalue:+.4f}{note}"
-            )
-        print("baseline checks:")
-        for c in checks:
-            mark = _ok("PASS") if c.ok else _bad("FAIL")
-            print(f"  [{mark}] {c.name}: computed={c.computed:.12g} frozen={c.frozen:.12g} tol={c.tolerance:g}")
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return EXIT_OK if all_ok else EXIT_MISMATCH, {
+        "command": "repro",
+        "computed_rho_th": report.computed_rho_th,
+        "max_dev_vs_printed_th": report.max_dev_vs_printed_th,
+        "fidelity_exp_vs_computed_th": report.fidelity_exp_vs_computed_th,
+        "trace_distance_exp_vs_computed_th": report.trace_distance_exp_vs_computed_th,
+        "fidelity_computed_vs_printed_th": report.fidelity_computed_vs_printed_th,
+        # MatrixDiagnostics holds scalars only, so vars() gives asdict()'s dict without its deep copies
+        "diagnostics": {k: dict(vars(v)) for k, v in report.diagnostics.items()},
+        "baseline_checks": [c._asdict() for c in checks],
+        "all_baselines_ok": all_ok,
+    }
 
 
-def cmd_evolve(args) -> int:
-    profile = _PROFILES[args.profile]
-    rho = validate_density(load_matrix(args.state), profile)
-    u = validate_unitary(load_matrix(args.unitary))
-    evolved = evolve(rho, u).matrix
-
+def cmd_evolve(args) -> tuple[int, dict]:
+    rho = validate_density(load_matrix(args.state), _PROFILES[args.profile])
+    evolved = evolve(rho, validate_unitary(load_matrix(args.unitary))).matrix
+    payload = {"command": "evolve", "profile": args.profile, "state": evolved}
     if args.out:
         save_matrix(evolved, args.out)
-    if args.format == "json":
-        payload = {"command": "evolve", "profile": args.profile, "state": matrix_to_dict(evolved)}
-        if args.out:
-            payload["written_to"] = args.out
-        _emit_json(payload)
-    else:
-        if args.out:
-            print(f"evolved state written to {args.out}")
-        print("evolved state:")
-        for line in _matrix_lines(evolved):
-            print(f"  {line}")
-    return EXIT_OK
+        payload["written_to"] = args.out
+    return EXIT_OK, payload
 
 
-def cmd_separability(args) -> int:
+def cmd_separability(args) -> tuple[int, dict]:
     profile = _PROFILES[args.profile]
     payload: dict = {"command": "separability", "tolerance": args.tol}
-    lines: list[str] = []
+    # Each mode reads its own inputs; a flag another mode reads is an error, not ignored.
+    if args.critical and (args.state is not None or args.epsilon is not None):
+        raise ValueError("--critical takes --rho1 only, not STATE_FILE or --epsilon")
+    if args.state is not None and (args.rho1 is not None or args.epsilon is not None):
+        raise ValueError("give STATE_FILE, or --epsilon with --rho1, not both")
 
     if args.critical:
         if args.rho1 is None:
             raise ValueError("--critical requires --rho1 FILE")
         rho1 = validate_density(load_matrix(args.rho1), profile)
-        eps_star = critical_epsilon(rho1)
-        payload.update({"mode": "critical", "critical_epsilon": eps_star})
-        lines.append(f"critical coefficient: {eps_star:.9f}")
-        lines.append("pseudo-pure mixtures with the target state stay separable up to this coefficient")
+        payload.update({"mode": "critical", "critical_epsilon": critical_epsilon(rho1)})
+        return EXIT_OK, payload
+
+    if args.state is not None:
+        rho = validate_density(load_matrix(args.state), profile)
+    elif args.rho1 is not None and args.epsilon is not None:
+        rho1 = validate_density(load_matrix(args.rho1), profile)
+        rho = compose_pseudopure(args.epsilon, rho1)
+        payload["epsilon"] = args.epsilon
     else:
-        if args.state is not None:
-            rho = validate_density(load_matrix(args.state), profile)
-        elif args.rho1 is not None and args.epsilon is not None:
-            rho1 = validate_density(load_matrix(args.rho1), profile)
-            rho = compose_pseudopure(args.epsilon, rho1)
-            payload["epsilon"] = args.epsilon
-        else:
-            raise ValueError("provide STATE_FILE, or --epsilon with --rho1")
-
-        if rho.n_qubits == 2:
-            rep = is_separable_2q(rho, args.tol)
-            conclusive = True
-        else:
-            rep = ppt_first_vs_rest(rho, args.tol)
-            conclusive = False
-        payload.update(
-            {
-                "mode": "ppt",
-                "n_qubits": rho.n_qubits,
-                "min_eigenvalue": rep.min_eigenvalue,
-                "is_ppt": rep.is_ppt,
-                "separability_conclusive": conclusive,
-            }
-        )
-        lines.append(f"partial transpose min eigenvalue: {rep.min_eigenvalue:+.10f}")
-        lines.append(f"PPT: {'yes' if rep.is_ppt else 'no'} (tolerance {rep.tolerance:g})")
-        if conclusive:
-            verdict = "separable" if rep.is_ppt else "entangled"
-            lines.append(f"2-qubit verdict: {verdict}")
-        else:
-            lines.append(_style("NOTE: PPT is a necessary condition only at 3 qubits; "
-                                "a positive result is not a separability verdict", "33"))
-
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK
+        raise ValueError("provide STATE_FILE, or --epsilon with --rho1")
+    conclusive = rho.n_qubits == 2
+    rep = is_separable_2q(rho, args.tol) if conclusive else ppt_first_vs_rest(rho, args.tol)
+    payload.update(
+        {
+            "mode": "ppt",
+            "n_qubits": rho.n_qubits,
+            "min_eigenvalue": rep.min_eigenvalue,
+            "is_ppt": rep.is_ppt,
+            "separability_conclusive": conclusive,
+        }
+    )
+    return EXIT_OK, payload
 
 
-def cmd_tomography(args) -> int:
-    profile = _PROFILES[args.profile]
-    rho = validate_density(load_matrix(args.state), profile)
+def cmd_tomography(args) -> tuple[int, dict]:
+    rho = validate_density(load_matrix(args.state), _PROFILES[args.profile])
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
     if args.shots == 0:
@@ -329,71 +251,130 @@ def cmd_tomography(args) -> int:
     # Experimental-profile inputs may be slightly unphysical; measure
     # fidelity against their closest physical state.
     target, _, _ = repro.closest_physical_state(rho.matrix)
-    fid = fidelity(state, target)
-    max_dev = float(np.max(np.abs(recon - rho.matrix)))
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "tomography",
-                "n_qubits": rho.n_qubits,
-                "shots": args.shots,
-                "seed": args.seed,
-                "fidelity_to_input": fid,
-                "recon_max_dev": max_dev,
-                "state": matrix_to_dict(state.matrix),
-            }
-        )
-    else:
-        mode = "exact expectations" if args.shots == 0 else f"{args.shots} shots per observable, seed {args.seed}"
-        print(f"tomography of a {rho.n_qubits}-qubit state ({mode})")
-        print(f"reconstruction fidelity to input: {fid:.10f}")
-        print(f"max entry deviation (linear reconstruction): {max_dev:.3e}")
-        print("projected reconstruction:")
-        for line in _matrix_lines(state.matrix):
-            print(f"  {line}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "command": "tomography",
+        "n_qubits": rho.n_qubits,
+        "shots": args.shots,
+        "seed": args.seed,
+        "fidelity_to_input": fidelity(state, target),
+        "recon_max_dev": float(np.max(np.abs(recon - rho.matrix))),
+        "state": state.matrix,
+    }
 
 
-def cmd_ensemble(args) -> int:
+def cmd_ensemble(args) -> tuple[int, dict]:
     history = history_from_dict(load_json(args.history))
-    rho = density_of(history)
-    members = None
+    payload = {
+        "command": "ensemble",
+        "label": history.label,
+        "n_members": len(history.members),
+        "density": density_of(history).matrix,
+    }
     if history.dim == 4:
-        members = entanglement_report(history).members
+        payload["members"] = [
+            {"weight": m.weight, "concurrence": m.concurrence, "is_product": m.is_product}
+            for m in entanglement_report(history).members
+        ]
+    return EXIT_OK, payload
 
-    if args.format == "json":
-        payload = {
-            "command": "ensemble",
-            "label": history.label,
-            "n_members": len(history.members),
-            "density": matrix_to_dict(rho.matrix),
-        }
-        if members is not None:
-            payload["members"] = [
-                {"weight": m.weight, "concurrence": m.concurrence, "is_product": m.is_product} for m in members
-            ]
-        _emit_json(payload)
+
+def _text_repro(p: dict) -> list[str]:
+    computed = _matrix_lines(p["computed_rho_th"], indent="")
+    # The printed prediction is bundled input, not a result, so the JSON payload leaves it out.
+    printed = _matrix_lines(repro.load_dataset().rho_th_printed, indent="")
+    width = max(len(s) for s in computed)
+    lines = ["computed evolved state (c rho c^dag):", f"  {'computed':<{width}}  |  printed prediction"]
+    lines += [f"  {a:<{width}}  |  {b}" for a, b in zip(computed, printed)]
+    lines += [
+        f"max entry deviation vs printed: {p['max_dev_vs_printed_th']:.6e}",
+        f"fidelity (measured vs computed): {p['fidelity_exp_vs_computed_th']:.10f}",
+        f"trace distance (measured vs computed): {p['trace_distance_exp_vs_computed_th']:.10f}",
+        f"fidelity (computed vs printed prediction, informational): {p['fidelity_computed_vs_printed_th']:.10f}",
+        "diagnostics:",
+    ]
+    for name, d in p["diagnostics"].items():
+        flags = [f for f, on in (("trace renormalized", d["trace_renormalized"]),
+                                 ("PSD projected", d["psd_projected"])) if on]
+        note = f" ({', '.join(flags)})" if flags else ""
+        lines.append(
+            f"  {name}: trace={d['trace_real']:.4f} herm_defect={d['hermiticity_defect']:.1e} "
+            f"min_eig={d['min_eigenvalue']:+.4f}{note}"
+        )
+    lines.append("baseline checks:")
+    for c in p["baseline_checks"]:
+        mark = _style("PASS", "32") if c["ok"] else _style("FAIL", "31")
+        lines.append(
+            f"  [{mark}] {c['name']}: computed={c['computed']:.12g} frozen={c['frozen']:.12g} tol={c['tolerance']:g}"
+        )
+    return lines
+
+
+def _text_evolve(p: dict) -> list[str]:
+    head = [f"evolved state written to {p['written_to']}"] if "written_to" in p else []
+    return head + ["evolved state:"] + _matrix_lines(p["state"])
+
+
+def _text_separability(p: dict) -> list[str]:
+    if p["mode"] == "critical":
+        return [
+            f"critical coefficient: {p['critical_epsilon']:.9f}",
+            "pseudo-pure mixtures with the target state stay separable up to this coefficient",
+        ]
+    lines = [
+        f"partial transpose min eigenvalue: {p['min_eigenvalue']:+.10f}",
+        f"PPT: {'yes' if p['is_ppt'] else 'no'} (tolerance {p['tolerance']:g})",
+    ]
+    if p["separability_conclusive"]:
+        lines.append(f"2-qubit verdict: {'separable' if p['is_ppt'] else 'entangled'}")
     else:
-        print(f"history: {history.label}")
-        print("density matrix:")
-        for line in _matrix_lines(rho.matrix):
-            print(f"  {line}")
-        if members is not None:
-            print("member entanglement:")
-            print("  weight    concurrence  product?")
-            for m in members:
-                print(f"  {m.weight:<8.4f}  {m.concurrence:<11.6f}  {'yes' if m.is_product else 'no'}")
-        else:
-            print("(per-member concurrence is reported for 2-qubit members only)")
-    return EXIT_OK
+        lines.append(_style("NOTE: PPT is a necessary condition only at 3 qubits; "
+                            "a positive result is not a separability verdict", "33"))
+    return lines
+
+
+def _text_tomography(p: dict) -> list[str]:
+    mode = "exact expectations" if p["shots"] == 0 else f"{p['shots']} shots per observable, seed {p['seed']}"
+    return [
+        f"tomography of a {p['n_qubits']}-qubit state ({mode})",
+        f"reconstruction fidelity to input: {p['fidelity_to_input']:.10f}",
+        f"max entry deviation (linear reconstruction): {p['recon_max_dev']:.3e}",
+        "projected reconstruction:",
+    ] + _matrix_lines(p["state"])
+
+
+def _text_ensemble(p: dict) -> list[str]:
+    lines = [f"history: {p['label']}", "density matrix:"] + _matrix_lines(p["density"])
+    if "members" not in p:
+        return lines + ["(per-member concurrence is reported for 2-qubit members only)"]
+    lines += ["member entanglement:", "  weight    concurrence  product?"]
+    for m in p["members"]:
+        lines.append(f"  {m['weight']:<8.4f}  {m['concurrence']:<11.6f}  {'yes' if m['is_product'] else 'no'}")
+    return lines
+
+
+_TEXT = {
+    "repro": _text_repro,
+    "evolve": _text_evolve,
+    "separability": _text_separability,
+    "tomography": _text_tomography,
+    "ensemble": _text_ensemble,
+}
+
+
+def _render(fmt: str, payload: dict) -> None:
+    """Print one payload: JSON with matrices in the wire format, or text lines."""
+    if fmt == "json":
+        out = json.dumps(payload, indent=2, default=matrix_to_dict)
+    else:
+        out = "\n".join(_TEXT[payload["command"]](payload))
+    sys.stdout.write(out + "\n")  # one write, even when stdout is unbuffered
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload = args.func(args)
     except ValidationError as exc:
         print(f"nmrsim: validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -403,12 +384,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"nmrsim: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NmrsimError as exc:
+    except (NmrsimError, ValueError, OSError) as exc:
         print(f"nmrsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"nmrsim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _render(args.format, payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from nmrsim.core import (
     STRICT,
     DensityMatrix,
     PureState,
-    basis_state,
-    bell_state,
     pure_state,
     validate_density,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "density_of",
     "concurrence",
     "entanglement_report",
-    "uniform_computational_history",
-    "uniform_bell_history",
     "history_from_dict",
 ]
 
@@ -108,19 +104,6 @@ def entanglement_report(h: EnsembleHistory) -> MemberEntanglementReport:
         for c in (concurrence(psi),)
     )
     return MemberEntanglementReport(h.label, rows)
-
-
-def uniform_computational_history(n_qubits: int = 2) -> EnsembleHistory:
-    """Equal parts of every computational basis state; averages to I/d."""
-    d = 1 << n_qubits
-    members = tuple((1.0 / d, basis_state(n_qubits, i)) for i in range(d))
-    return EnsembleHistory("uniform computational-basis mixture", members)
-
-
-def uniform_bell_history() -> EnsembleHistory:
-    """Equal parts of the four Bell states; averages to the same I/4."""
-    members = tuple((0.25, bell_state(kind)) for kind in ("phi+", "phi-", "psi+", "psi-"))
-    return EnsembleHistory("uniform Bell-basis mixture", members)
 
 
 def history_from_dict(obj) -> EnsembleHistory:

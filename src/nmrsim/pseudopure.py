@@ -12,17 +12,15 @@ from typing import NamedTuple
 import numpy as np
 
 from nmrsim.core import STRICT, DensityMatrix, _require_finite, purity, validate_density
-from nmrsim.errors import DimMismatchError, NotNormalizedError, NotPureError
+from nmrsim.errors import DimMismatchError, NotPureError
 
 __all__ = [
     "PURITY_TOL",
     "PopulationVector",
     "EpsilonEstimate",
-    "AveragedState",
     "NetSignal",
     "compose_pseudopure",
     "extract_epsilon",
-    "exhaustive_average",
     "net_signal",
 ]
 
@@ -40,10 +38,9 @@ def _require_pure(rho1: DensityMatrix) -> None:
 
 @dataclass(frozen=True)
 class PopulationVector:
-    """Per-basis-state occupation; probabilities when ``normalized``."""
+    """Per-basis-state occupation counts, nonnegative."""
 
     counts: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         c = np.array(self.counts, dtype=float).reshape(-1)
@@ -51,10 +48,6 @@ class PopulationVector:
             raise ValueError("population vector must not be empty")
         if (c < 0.0).any():
             raise ValueError(f"populations must be nonnegative, got min {c.min()}")
-        if self.normalized:
-            dev = abs(float(c.sum()) - 1.0)
-            if dev > 1e-12:
-                raise NotNormalizedError(dev, what="population vector")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -64,11 +57,6 @@ class EpsilonEstimate(NamedTuple):
 
     epsilon: float
     out_of_model: bool
-
-
-class AveragedState(NamedTuple):
-    state: DensityMatrix
-    epsilon: float
 
 
 class NetSignal(NamedTuple):
@@ -100,29 +88,6 @@ def extract_epsilon(rho: DensityMatrix, rho1: DensityMatrix) -> EpsilonEstimate:
     overlap = float(np.trace(rho.matrix @ rho1.matrix).real)
     eps = (d * overlap - 1.0) / (d - 1.0)
     return EpsilonEstimate(eps, not -_RANGE_SLACK <= eps <= 1.0 + _RANGE_SLACK)
-
-
-def exhaustive_average(p: PopulationVector, target_index: int) -> AveragedState:
-    """Average diagonal populations over all permutations fixing one index.
-
-    The non-target populations equalize at ``(1 - p_t) / (d - 1)``, so the
-    result is exactly ``compose_pseudopure(eps, |target><target|)`` with
-    ``eps = (d p_t - 1) / (d - 1)``.  ``eps`` is negative when the target
-    population sits below the uniform background; that is reported, not
-    raised.
-    """
-    if not p.normalized:
-        raise NotNormalizedError(abs(float(p.counts.sum()) - 1.0), what="population vector (normalized flag required)")
-    d = p.counts.size
-    if not 0 <= target_index < d:
-        raise IndexError(f"target index {target_index} out of range for {d} populations")
-    p_t = float(p.counts[target_index])
-    rest = (1.0 - p_t) / (d - 1)
-    diag = np.full(d, rest)
-    diag[target_index] = p_t
-    state = validate_density(np.diag(diag).astype(complex), STRICT)
-    eps = (d * p_t - 1.0) / (d - 1.0)
-    return AveragedState(state, eps)
 
 
 def net_signal(p: PopulationVector) -> NetSignal:

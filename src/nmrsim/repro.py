@@ -20,7 +20,6 @@ arithmetic; they are never hand-entered.
 """
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -40,7 +39,8 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
-from nmrsim.serialize import load_json, load_matrix
+from nmrsim.errors import ParseError
+from nmrsim.serialize import load_json, load_matrix, require_number
 from nmrsim.tomography import project_psd
 
 __all__ = [
@@ -126,14 +126,31 @@ def load_dataset() -> ExperimentDataset:
 
 
 _BASELINES = _DATA / "baselines.json"
+# The report fields checked against a frozen value at a frozen tolerance.
+_CHECKED = ("max_dev_vs_printed_th", "fidelity_exp_vs_computed_th", "trace_distance_exp_vs_computed_th")
 
 
 def load_baselines(path=None) -> dict:
-    """Frozen regression baselines (see ``scripts/freeze_baselines.py``)."""
-    obj = json.loads(Path(_BASELINES if path is None else path).read_text())
+    """Frozen regression baselines (see ``scripts/freeze_baselines.py``).
+
+    Every checked value and tolerance, and ``documented_ceiling_max_dev``
+    when present, must be a finite number; anything else is a ``ParseError``.
+    """
+    path = _BASELINES if path is None else path
+    obj = load_json(path)
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: baselines document must be a JSON object")
     for key in ("values", "tolerances"):
-        if key not in obj or not isinstance(obj[key], dict):
-            raise ValueError(f'baselines file is missing the "{key}" table')
+        table = obj.get(key)
+        if not isinstance(table, dict):
+            raise ParseError(f'{path}: baselines document is missing the "{key}" table')
+        for name in _CHECKED:
+            if name not in table:
+                raise ParseError(f'{path}: "{key}" has no entry for {name}')
+            table[name] = require_number(table[name], f"{key}.{name}")
+    ceiling = obj.get("documented_ceiling_max_dev")
+    if ceiling is not None:
+        obj["documented_ceiling_max_dev"] = require_number(ceiling, "documented_ceiling_max_dev")
     return obj
 
 
@@ -205,15 +222,11 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
 def check_against_baselines(report: ReproReport, baselines: dict) -> list[BaselineCheck]:
     """Compare a fresh report with the frozen values at their tolerances."""
     checks = []
-    computed = {
-        "max_dev_vs_printed_th": report.max_dev_vs_printed_th,
-        "fidelity_exp_vs_computed_th": report.fidelity_exp_vs_computed_th,
-        "trace_distance_exp_vs_computed_th": report.trace_distance_exp_vs_computed_th,
-    }
-    for name, value in computed.items():
+    for name in _CHECKED:
+        value = float(getattr(report, name))
         frozen = float(baselines["values"][name])
         tol = float(baselines["tolerances"][name])
-        checks.append(BaselineCheck(name, float(value), frozen, tol, abs(value - frozen) <= tol))
+        checks.append(BaselineCheck(name, value, frozen, tol, abs(value - frozen) <= tol))
     ceiling = baselines.get("documented_ceiling_max_dev")
     if ceiling is not None:
         checks.append(

@@ -53,6 +53,34 @@ def assert_matches_golden(stdout: str, name: str):
     assert_json_close(got, expected)
 
 
+def assert_matches_text_golden(stdout: str, name: str):
+    path = GOLDEN / name
+    if os.environ.get("NMRSIM_REGEN_GOLDEN"):
+        GOLDEN.mkdir(exist_ok=True)
+        path.write_text(stdout)
+    assert stdout == path.read_text()
+
+
+# The golden runs, by golden file stem; --format is appended per test.
+GOLDEN_RUNS = {
+    "repro": ["repro"],
+    "evolve_mixed": ["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json")],
+    "separability_mixed": ["separability", data_path("maximally_mixed_2q.json")],
+    "separability_critical_bell": ["separability", "--critical", "--rho1", data_path("bell_state.json")],
+    "separability_ghz3": ["separability", data_path("ghz3.json")],
+    "tomography_exact_mixed": ["tomography", data_path("maximally_mixed_2q.json"), "--shots", "0"],
+    "ensemble_basis": ["ensemble", data_path("basis_mixture.json")],
+    "ensemble_bell": ["ensemble", data_path("bell_mixture.json")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_text_output_matches_golden(capsys, name):
+    code, out, _ = run_cli(capsys, *GOLDEN_RUNS[name], "--format", "text")
+    assert code == 0
+    assert_matches_text_golden(out, f"{name}.txt")
+
+
 class TestGolden:
     def test_repro_json(self, capsys):
         code, out, _ = run_cli(capsys, "repro", "--format", "json")
@@ -134,13 +162,15 @@ class TestTextOutput:
 
 class TestExitCodes:
     def test_ragged_input_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "evolve", str(FIXTURES / "ragged.json"), data_path("step_matrix.json"))
+        code, out, err = run_cli(capsys, "evolve", str(FIXTURES / "ragged.json"), data_path("step_matrix.json"))
         assert code == 1
+        assert out == ""
         assert "parse" in err.lower()
 
     def test_nonpsd_strict_is_validation_failure(self, capsys):
-        code, _, err = run_cli(capsys, "evolve", str(FIXTURES / "nonpsd.json"), data_path("step_matrix.json"))
+        code, out, err = run_cli(capsys, "evolve", str(FIXTURES / "nonpsd.json"), data_path("step_matrix.json"))
         assert code == 3
+        assert out == ""
         assert "validation" in err.lower()
 
     def test_experimental_profile_accepts_printed_state(self, capsys):
@@ -157,8 +187,9 @@ class TestExitCodes:
     def test_dim_mismatch_exit(self, capsys, tmp_path):
         small = tmp_path / "mixed_1q.json"
         save_matrix(np.eye(2, dtype=complex) / 2, small)
-        code, _, _ = run_cli(capsys, "evolve", str(small), data_path("step_matrix.json"))
+        code, out, _ = run_cli(capsys, "evolve", str(small), data_path("step_matrix.json"))
         assert code == 2
+        assert out == ""
 
     def test_tampered_baselines_exit(self, capsys, tmp_path):
         tampered = json.loads(Path(data_path("baselines.json")).read_text())
@@ -170,37 +201,42 @@ class TestExitCodes:
         assert "FAIL" in out
 
     def test_epsilon_out_of_range_is_usage_error(self, capsys):
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys, "separability", "--epsilon", "1.5", "--rho1", data_path("bell_state.json")
         )
         assert code == 1
+        assert out == ""
 
     def test_critical_requires_pure_target(self, capsys):
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys, "separability", "--critical", "--rho1", data_path("maximally_mixed_2q.json")
         )
         assert code == 3
+        assert out == ""
 
     def test_too_many_qubits_is_usage_error(self, capsys, tmp_path):
         big = tmp_path / "four_qubits.json"
         save_matrix(np.eye(16, dtype=complex) / 16, big)
-        code, _, _ = run_cli(capsys, "tomography", str(big), "--shots", "0")
+        code, out, _ = run_cli(capsys, "tomography", str(big), "--shots", "0")
         assert code == 1
+        assert out == ""
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
     def test_separability_without_inputs_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "separability")
+        code, out, _ = run_cli(capsys, "separability")
         assert code == 1
+        assert out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_ppt_tolerance_is_usage_error(self, capsys, tol):
         code, out, err = run_cli(capsys, "separability", data_path("maximally_mixed_2q.json"), "--tol", tol)
         assert code == 1
-        assert "verdict" not in out
+        assert out == ""
         assert "tolerance" in err
 
     @pytest.mark.parametrize(
@@ -214,13 +250,55 @@ class TestExitCodes:
     def test_non_finite_history_is_parse_error(self, capsys, tmp_path, member):
         path = tmp_path / "history.json"
         path.write_text(f'{{"label": "bad", "members": [{member}]}}')
-        code, _, err = run_cli(capsys, "ensemble", str(path))
+        code, out, err = run_cli(capsys, "ensemble", str(path))
         assert code == 1
+        assert out == ""
         assert "cannot parse input" in err
 
     def test_shots_without_seed_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", "10")
+        code, out, _ = run_cli(capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", "10")
         assert code == 1
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maximally_mixed_2q.json", "--epsilon", "0.9", "--rho1", "bell_state.json"],
+            ["maximally_mixed_2q.json", "--rho1", "bell_state.json"],
+            ["maximally_mixed_2q.json", "--epsilon", "0.2"],
+            ["maximally_mixed_2q.json", "--critical", "--rho1", "bell_state.json"],
+            ["--critical", "--epsilon", "0.2", "--rho1", "bell_state.json"],
+            ["--epsilon", "0.2"],
+        ],
+        ids=["state+epsilon+rho1", "state+rho1", "state+epsilon", "critical+state", "critical+epsilon",
+             "epsilon-without-rho1"],
+    )
+    def test_conflicting_separability_inputs_are_usage_errors(self, capsys, argv):
+        # each input mode must not silently drop another mode's flags
+        argv = [data_path(a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, "separability", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nmrsim: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "5",
+            '{"values": {}, "tolerances": {}}',
+            '{"values": {"max_dev_vs_printed_th": 123, "fidelity_exp_vs_computed_th": 123, '
+            '"trace_distance_exp_vs_computed_th": 123}, "tolerances": {"max_dev_vs_printed_th": Infinity, '
+            '"fidelity_exp_vs_computed_th": Infinity, "trace_distance_exp_vs_computed_th": Infinity}}',
+        ],
+        ids=["not-an-object", "empty-tables", "infinite-tolerances"],
+    )
+    def test_malformed_baselines_are_parse_errors(self, capsys, tmp_path, doc):
+        path = tmp_path / "baselines.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "repro", "--baselines", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nmrsim: cannot parse input: ")
 
 
 class TestBehaviour:

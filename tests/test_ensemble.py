@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,19 +12,33 @@ from nmrsim.ensemble import (
     density_of,
     entanglement_report,
     history_from_dict,
-    uniform_bell_history,
-    uniform_computational_history,
 )
 from nmrsim.errors import DimMismatchError, NotNormalizedError, ParseError, WrongDimError
+from nmrsim.serialize import load_json
+
+
+def bundled_history(name: str) -> EnsembleHistory:
+    with resources.as_file(resources.files("nmrsim").joinpath(f"data/{name}")) as p:
+        return history_from_dict(load_json(p))
+
+
+def basis_history() -> EnsembleHistory:
+    """Equal parts of every 2-qubit computational basis state."""
+    return bundled_history("basis_mixture.json")
+
+
+def bell_history() -> EnsembleHistory:
+    """Equal parts of the four Bell states."""
+    return bundled_history("bell_mixture.json")
 
 
 def test_computational_mixture_averages_to_identity():
-    rho = density_of(uniform_computational_history())
+    rho = density_of(basis_history())
     assert max_abs_diff(rho.matrix, np.eye(4) / 4) <= 1e-15
 
 
 def test_bell_mixture_averages_to_identity():
-    rho = density_of(uniform_bell_history())
+    rho = density_of(bell_history())
     assert max_abs_diff(rho.matrix, np.eye(4) / 4) <= 1e-15
 
 
@@ -34,13 +49,13 @@ def test_single_member_history():
 
 
 def test_same_density_for_different_preparations():
-    basis, bell = density_of(uniform_computational_history()), density_of(uniform_bell_history())
+    basis, bell = density_of(basis_history()), density_of(bell_history())
     assert max_abs_diff(basis.matrix, bell.matrix) <= 1e-12
 
 
 def test_different_preparations_detected():
     single = EnsembleHistory("just |00>", ((1.0, basis_state(2, 0)),))
-    assert max_abs_diff(density_of(uniform_computational_history()).matrix, density_of(single).matrix) > 1e-12
+    assert max_abs_diff(density_of(basis_history()).matrix, density_of(single).matrix) > 1e-12
 
 
 class TestConcurrence:
@@ -77,12 +92,12 @@ class TestConcurrence:
 
 class TestEntanglementReport:
     def test_computational_members_all_product(self):
-        report = entanglement_report(uniform_computational_history())
+        report = entanglement_report(basis_history())
         assert all(m.is_product for m in report.members)
         assert all(m.concurrence == 0.0 for m in report.members)
 
     def test_bell_members_all_maximal(self):
-        report = entanglement_report(uniform_bell_history())
+        report = entanglement_report(bell_history())
         assert all(not m.is_product for m in report.members)
         assert all(m.concurrence == pytest.approx(1.0, abs=1e-12) for m in report.members)
 
@@ -95,11 +110,11 @@ class TestEntanglementReport:
 
     def test_wrong_dim(self):
         with pytest.raises(WrongDimError):
-            entanglement_report(uniform_computational_history(1))
+            entanglement_report(EnsembleHistory("1q", ((0.5, basis_state(1, 0)), (0.5, basis_state(1, 1)))))
 
     def test_same_density_different_reports(self):
         # the module's central claim: identical averages, different members
-        h_basis, h_bell = uniform_computational_history(), uniform_bell_history()
+        h_basis, h_bell = basis_history(), bell_history()
         assert max_abs_diff(density_of(h_basis).matrix, density_of(h_bell).matrix) <= 1e-15
         r_basis = entanglement_report(h_basis)
         r_bell = entanglement_report(h_bell)
@@ -110,8 +125,8 @@ class TestEntanglementReport:
 
 def test_density_of_is_linear_in_weights():
     rng = np.random.default_rng(31)
-    h1 = uniform_computational_history()
-    h2 = uniform_bell_history()
+    h1 = basis_history()
+    h2 = bell_history()
     for lam in rng.uniform(0.05, 0.95, size=10):
         members = [(lam * w, psi) for w, psi in h1.members] + [((1 - lam) * w, psi) for w, psi in h2.members]
         merged = EnsembleHistory("mixture", tuple(members))
@@ -138,7 +153,7 @@ class TestHistoryValidation:
 
 
 def test_history_json_round_trip():
-    h = uniform_bell_history()
+    h = bell_history()
     doc = {
         "label": h.label,
         "members": [

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,15 +5,12 @@ from helpers import max_abs_diff, random_pure, random_unitary
 from nmrsim.core import STRICT, DensityMatrix, basis_state, bell_state, density_from_pure, evolve, validate_density
 from nmrsim.errors import (
     DimMismatchError,
-    DimNotPowerOfTwoError,
-    NotNormalizedError,
     NotPureError,
     NumericalFailureError,
 )
 from nmrsim.pseudopure import (
     PopulationVector,
     compose_pseudopure,
-    exhaustive_average,
     extract_epsilon,
     net_signal,
 )
@@ -125,75 +120,6 @@ class TestExtract:
             assert max_abs_diff(lhs.matrix, rhs.matrix) < 1e-12
 
 
-class TestExhaustiveAverage:
-    def test_pure_population(self):
-        p = PopulationVector(np.array([1.0, 0.0, 0.0, 0.0]), normalized=True)
-        state, eps = exhaustive_average(p, 0)
-        assert eps == pytest.approx(1.0, abs=1e-12)
-        assert max_abs_diff(state.matrix, basis_state(2, 0).projector()) == 0.0
-
-    def test_uniform_population(self):
-        p = PopulationVector(np.full(4, 0.25), normalized=True)
-        state, eps = exhaustive_average(p, 0)
-        assert eps == pytest.approx(0.0, abs=1e-12)
-        assert max_abs_diff(state.matrix, np.eye(4) / 4) == 0.0
-
-    def test_against_permutation_enumeration(self):
-        # oracle: literally average diag(p) over permutations of the rest
-        p = np.array([0.4, 0.3, 0.2, 0.1])
-        target = 0
-        rest = [1, 2, 3]
-        acc = np.zeros((4, 4))
-        count = 0
-        for perm in itertools.permutations(rest):
-            q = np.empty(4)
-            q[target] = p[target]
-            for dst, src in zip(rest, perm):
-                q[dst] = p[src]
-            acc += np.diag(q)
-            count += 1
-        oracle = acc / count
-
-        state, eps = exhaustive_average(PopulationVector(p, normalized=True), target)
-        assert max_abs_diff(state.matrix, oracle) < 1e-15
-        assert max_abs_diff(state.matrix, np.diag([0.4, 0.2, 0.2, 0.2])) < 1e-15
-        assert eps == pytest.approx(0.2, abs=1e-12)
-
-    def test_epsilon_matches_extraction(self):
-        rng = np.random.default_rng(47)
-        for _ in range(20):
-            raw = rng.uniform(0.0, 1.0, size=4)
-            p = PopulationVector(raw / raw.sum(), normalized=True)
-            target = int(rng.integers(0, 4))
-            state, eps = exhaustive_average(p, target)
-            est = extract_epsilon(state, density_from_pure(basis_state(2, target)))
-            assert abs(est.epsilon - eps) < 1e-12
-            # permutation symmetry over non-target entries is exact
-            off = np.delete(np.diag(state.matrix).real, target)
-            assert np.all(off == off[0])
-
-    def test_negative_epsilon_flagged_not_raised(self):
-        p = PopulationVector(np.array([0.1, 0.3, 0.3, 0.3]), normalized=True)
-        state, eps = exhaustive_average(p, 0)
-        assert eps < 0.0
-        validate_density(state.matrix, STRICT)
-
-    def test_requires_normalized_flag(self):
-        p = PopulationVector(np.array([5.0, 3.0]))
-        with pytest.raises(NotNormalizedError):
-            exhaustive_average(p, 0)
-
-    def test_index_out_of_range(self):
-        p = PopulationVector(np.full(4, 0.25), normalized=True)
-        with pytest.raises(IndexError):
-            exhaustive_average(p, 4)
-
-    def test_non_power_of_two_length(self):
-        p = PopulationVector(np.full(3, 1 / 3), normalized=True)
-        with pytest.raises(DimNotPowerOfTwoError):
-            exhaustive_average(p, 0)
-
-
 class TestNetSignal:
     def test_five_up_three_down(self):
         # 3 upward transitions cancel 3 downward ones; 2 remain
@@ -224,7 +150,3 @@ class TestPopulationVector:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             PopulationVector(np.array([1.0, -0.5]))
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(NotNormalizedError):
-            PopulationVector(np.array([0.6, 0.6]), normalized=True)

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import max_abs_diff
 from nmrsim.core import EXPERIMENTAL, STRICT, check_unitary, validate_density
-from nmrsim.errors import NumericalFailureError
+from nmrsim.errors import NumericalFailureError, ParseError
 from nmrsim.repro import (
     check_against_baselines,
     closest_physical_state,
@@ -229,3 +229,26 @@ class TestExportAndBaselines:
         baselines = load_baselines()
         assert set(baselines["values"]) == set(baselines["tolerances"])
         assert baselines["values"]["max_dev_vs_printed_th"] == 5e-5
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b["values"].update(fidelity_exp_vs_computed_th="0.97"),
+            lambda b: b["tolerances"].update(max_dev_vs_printed_th=True),
+            lambda b: b["tolerances"].pop("trace_distance_exp_vs_computed_th"),
+            lambda b: b.update(documented_ceiling_max_dev=[0.005]),
+            lambda b: b.update(values=[]),
+        ],
+        ids=["string-value", "bool-tolerance", "missing-tolerance", "list-ceiling", "values-not-a-table"],
+    )
+    def test_malformed_baselines_rejected(self, tmp_path, edit):
+        baselines = json.loads((DATA / "baselines.json").read_text())
+        edit(baselines)
+        path = tmp_path / "baselines.json"
+        path.write_text(json.dumps(baselines))
+        with pytest.raises(ParseError):
+            load_baselines(path)
+
+    def test_missing_baselines_file_is_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            load_baselines(tmp_path / "absent.json")
