@@ -43,6 +43,7 @@ from nmrsim.separability import (
 from nmrsim.serialize import load_json, load_matrix, matrix_to_dict, save_matrix
 from nmrsim.tomography import (
     ShotNoiseConfig,
+    closest_physical_state,
     pauli_expectations,
     project_psd,
     reconstruct_linear,
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho1", metavar="PATH", default=None, help="pure target state for --epsilon/--critical")
     p.add_argument("--epsilon", type=float, default=None, help="compose (1-e) I/d + e rho1 before testing")
     p.add_argument("--critical", action="store_true", help="report the critical coefficient of --rho1")
-    p.add_argument("--tol", type=float, default=DEFAULT_PPT_TOL, help=f"PPT tolerance (default {DEFAULT_PPT_TOL})")
+    p.add_argument("--tol", type=float, default=None, help=f"PPT tolerance (default {DEFAULT_PPT_TOL})")
     p.set_defaults(func=cmd_separability)
 
     p = sub.add_parser(
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("state", metavar="STATE_FILE")
     p.add_argument("--shots", type=int, default=0, help="shots per observable; 0 = exact (default)")
-    p.add_argument("--seed", type=int, default=None, help="generator seed (required when shots > 0)")
+    p.add_argument("--seed", type=int, default=None, help="generator seed (required when shots > 0, refused at 0)")
     p.set_defaults(func=cmd_tomography)
 
     p = sub.add_parser(
@@ -200,10 +201,11 @@ def cmd_evolve(args) -> tuple[int, dict]:
 
 def cmd_separability(args) -> tuple[int, dict]:
     profile = _PROFILES[args.profile]
-    payload: dict = {"command": "separability", "tolerance": args.tol}
+    tol = DEFAULT_PPT_TOL if args.tol is None else args.tol
+    payload: dict = {"command": "separability", "tolerance": tol}
     # Each mode reads its own inputs; a flag another mode reads is an error, not ignored.
-    if args.critical and (args.state is not None or args.epsilon is not None):
-        raise ValueError("--critical takes --rho1 only, not STATE_FILE or --epsilon")
+    if args.critical and (args.state is not None or args.epsilon is not None or args.tol is not None):
+        raise ValueError("--critical takes --rho1 only, not STATE_FILE, --epsilon or --tol")
     if args.state is not None and (args.rho1 is not None or args.epsilon is not None):
         raise ValueError("give STATE_FILE, or --epsilon with --rho1, not both")
 
@@ -223,7 +225,7 @@ def cmd_separability(args) -> tuple[int, dict]:
     else:
         raise ValueError("provide STATE_FILE, or --epsilon with --rho1")
     conclusive = rho.n_qubits == 2
-    rep = is_separable_2q(rho, args.tol) if conclusive else ppt_first_vs_rest(rho, args.tol)
+    rep = is_separable_2q(rho, tol) if conclusive else ppt_first_vs_rest(rho, tol)
     payload.update(
         {
             "mode": "ppt",
@@ -240,17 +242,17 @@ def cmd_tomography(args) -> tuple[int, dict]:
     rho = validate_density(load_matrix(args.state), _PROFILES[args.profile])
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    if (args.seed is None) != (args.shots == 0):
+        raise ValueError("--seed is required when --shots > 0 and not read when --shots is 0")
     if args.shots == 0:
         expectations = pauli_expectations(rho)
     else:
-        if args.seed is None:
-            raise ValueError("--seed is required when --shots > 0")
         expectations = simulate_shot_noise(rho, ShotNoiseConfig(args.shots, args.seed))
     recon = reconstruct_linear(expectations)
     state = project_psd(recon)
     # Experimental-profile inputs may be slightly unphysical; measure
     # fidelity against their closest physical state.
-    target, _, _ = repro.closest_physical_state(rho.matrix)
+    target, _, _ = closest_physical_state(rho.matrix)
     return EXIT_OK, {
         "command": "tomography",
         "n_qubits": rho.n_qubits,

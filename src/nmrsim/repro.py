@@ -13,10 +13,11 @@ repo-wide schema and ``metadata.json``, whose notes record the ambiguous
 process; ``export_dataset`` copies them byte for byte.
 
 ``reproduce_theory`` recomputes the evolved state, compares it entrywise with
-the stated prediction and measures experiment-vs-theory distances.  The
-resulting numbers are regression-tested against frozen baselines computed
-once by ``scripts/freeze_baselines.py`` with exact rational and 60-digit
-arithmetic; they are never hand-entered.
+the stated prediction and measures experiment-vs-theory distances on states
+made physical by ``tomography.closest_physical_state``; the diagnostics record
+what was done to each.  The resulting numbers are regression-tested against
+frozen baselines computed once by ``scripts/freeze_baselines.py`` with exact
+rational and 60-digit arithmetic; they are never hand-entered.
 """
 
 import functools
@@ -28,10 +29,7 @@ import numpy as np
 
 from nmrsim.core import (
     EXPERIMENTAL,
-    STRICT,
-    DensityMatrix,
     UnitaryOperator,
-    _eigvalsh_or_fail,
     density_invariants,
     evolve,
     fidelity,
@@ -41,7 +39,7 @@ from nmrsim.core import (
 )
 from nmrsim.errors import ParseError
 from nmrsim.serialize import load_json, load_matrix, require_number
-from nmrsim.tomography import project_psd
+from nmrsim.tomography import closest_physical_state
 
 __all__ = [
     "ExperimentDataset",
@@ -49,7 +47,6 @@ __all__ = [
     "ReproReport",
     "BaselineCheck",
     "load_dataset",
-    "closest_physical_state",
     "load_baselines",
     "reproduce_theory",
     "check_against_baselines",
@@ -130,27 +127,34 @@ _BASELINES = _DATA / "baselines.json"
 _CHECKED = ("max_dev_vs_printed_th", "fidelity_exp_vs_computed_th", "trace_distance_exp_vs_computed_th")
 
 
-def load_baselines(path=None) -> dict:
-    """Frozen regression baselines (see ``scripts/freeze_baselines.py``).
+def _baseline_numbers(obj, where) -> tuple[dict, dict, float | None]:
+    """The checked values, tolerances and optional ceiling of a baselines document.
 
     Every checked value and tolerance, and ``documented_ceiling_max_dev``
     when present, must be a finite number; anything else is a ``ParseError``.
     """
-    path = _BASELINES if path is None else path
-    obj = load_json(path)
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: baselines document must be a JSON object")
+        raise ParseError(f"{where}: baselines document must be a JSON object")
+    tables = []
     for key in ("values", "tolerances"):
         table = obj.get(key)
         if not isinstance(table, dict):
-            raise ParseError(f'{path}: baselines document is missing the "{key}" table')
+            raise ParseError(f'{where}: baselines document is missing the "{key}" table')
         for name in _CHECKED:
             if name not in table:
-                raise ParseError(f'{path}: "{key}" has no entry for {name}')
-            table[name] = require_number(table[name], f"{key}.{name}")
+                raise ParseError(f'{where}: "{key}" has no entry for {name}')
+        tables.append({name: require_number(table[name], f"{key}.{name}") for name in _CHECKED})
     ceiling = obj.get("documented_ceiling_max_dev")
     if ceiling is not None:
-        obj["documented_ceiling_max_dev"] = require_number(ceiling, "documented_ceiling_max_dev")
+        ceiling = require_number(ceiling, "documented_ceiling_max_dev")
+    return tables[0], tables[1], ceiling
+
+
+def load_baselines(path=None) -> dict:
+    """Frozen regression baselines (see ``scripts/freeze_baselines.py``); malformed ones are a ``ParseError``."""
+    path = _BASELINES if path is None else path
+    obj = load_json(path)
+    _baseline_numbers(obj, path)
     return obj
 
 
@@ -164,20 +168,6 @@ def _diagnose(m: np.ndarray, renormalized: bool = False, projected: bool = False
         trace_renormalized=renormalized,
         psd_projected=projected,
     )
-
-
-def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
-    """Make a printed/derived matrix metric-ready: renormalize trace, project.
-
-    Returns the strict-valid state plus flags recording what was done.
-    """
-    t = complex(np.trace(m)).real
-    renormalized = abs(t - 1.0) > 1e-12
-    a = np.asarray(m, dtype=complex) / t
-    a = (a + a.conj().T) / 2.0
-    projected = bool(_eigvalsh_or_fail(a).min() < 0.0)
-    state = project_psd(a) if projected else validate_density(a, STRICT)
-    return state, renormalized, projected
 
 
 def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
@@ -201,12 +191,12 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
 
     exp_state, exp_renorm, exp_proj = closest_physical_state(ds.rho_exp_after)
     th_state, th_renorm, th_proj = closest_physical_state(computed)
-    printed_state, _, _ = closest_physical_state(ds.rho_th_printed)
+    printed_state, printed_renorm, printed_proj = closest_physical_state(ds.rho_th_printed)
 
     diagnostics = {
         "rho_initial": _diagnose(ds.rho_initial),
         "rho_exp_after": _diagnose(ds.rho_exp_after, exp_renorm, exp_proj),
-        "rho_th_printed": _diagnose(ds.rho_th_printed),
+        "rho_th_printed": _diagnose(ds.rho_th_printed, printed_renorm, printed_proj),
         "computed_rho_th": _diagnose(computed, th_renorm, th_proj),
     }
     return ReproReport(
@@ -220,24 +210,19 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
 
 
 def check_against_baselines(report: ReproReport, baselines: dict) -> list[BaselineCheck]:
-    """Compare a fresh report with the frozen values at their tolerances."""
+    """Compare a fresh report with the frozen values at their tolerances.
+
+    ``baselines`` is checked as :func:`load_baselines` checks a file.
+    """
+    values, tolerances, ceiling = _baseline_numbers(baselines, "baselines")
     checks = []
     for name in _CHECKED:
         value = float(getattr(report, name))
-        frozen = float(baselines["values"][name])
-        tol = float(baselines["tolerances"][name])
+        frozen, tol = values[name], tolerances[name]
         checks.append(BaselineCheck(name, value, frozen, tol, abs(value - frozen) <= tol))
-    ceiling = baselines.get("documented_ceiling_max_dev")
     if ceiling is not None:
-        checks.append(
-            BaselineCheck(
-                "max_dev_documented_ceiling",
-                report.max_dev_vs_printed_th,
-                float(ceiling),
-                float(ceiling),
-                report.max_dev_vs_printed_th <= float(ceiling),
-            )
-        )
+        dev = report.max_dev_vs_printed_th
+        checks.append(BaselineCheck("max_dev_documented_ceiling", dev, ceiling, ceiling, dev <= ceiling))
     return checks
 
 

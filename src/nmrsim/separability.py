@@ -1,7 +1,9 @@
 """Partial transpose, PPT testing, and the critical pseudo-pure coefficient.
 
-For two qubits positivity of the partial transpose is necessary and
-sufficient for separability (Horodecki); for three qubits it is only
+One kernel, :func:`partial_transpose`, transposes any chosen qubit of a 2- or
+3-qubit state; every PPT test here is that transpose followed by a minimum
+eigenvalue.  For two qubits positivity of the partial transpose is necessary
+and sufficient for separability (Horodecki); for three qubits it is only
 necessary, and this module says so explicitly rather than overclaiming.
 """
 
@@ -35,22 +37,20 @@ class PPTReport:
     tolerance: float
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor of a 2-qubit state.
+def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
+    """Transpose the tensor factor of qubit ``qubit`` (0-based) of a 2- or 3-qubit state.
 
     Hermiticity and trace are preserved exactly; applying the same transpose
     twice returns the input.
     """
-    if rho.dim != 4:
-        raise WrongDimError(f"partial transpose is defined here for 2 qubits, got dim {rho.dim}")
-    r = rho.matrix.reshape(2, 2, 2, 2)
-    if subsystem == "B":
-        out = r.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = r.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f'subsystem must be "A" or "B", got {subsystem!r}')
-    return out.reshape(4, 4).copy()
+    n = rho.n_qubits
+    if n not in (2, 3):
+        raise WrongDimError(f"PPT test supports 2 or 3 qubits, got dim {rho.dim}")
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit must be in 0..{n - 1}, got {qubit}")
+    # axes 0..n-1 index the rows, n..2n-1 the columns, one axis per qubit
+    t = rho.matrix.reshape((2,) * (2 * n)).swapaxes(qubit, n + qubit)
+    return t.reshape(rho.dim, rho.dim)
 
 
 def _ppt_report(transposed: np.ndarray, tol: float) -> PPTReport:
@@ -63,7 +63,7 @@ def is_separable_2q(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PPTRepo
     """PPT test for a 2-qubit state, where PPT is equivalent to separability."""
     if rho.dim != 4:
         raise WrongDimError(f"separability verdicts are restricted to 2 qubits, got dim {rho.dim}")
-    return _ppt_report(partial_transpose(rho, "B"), tol)
+    return _ppt_report(partial_transpose(rho, 1), tol)
 
 
 def ppt_first_vs_rest(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PPTReport:
@@ -72,12 +72,7 @@ def ppt_first_vs_rest(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PPTRe
     For 3 qubits this is a necessary condition for separability only; a
     positive result proves nothing.
     """
-    if rho.n_qubits not in (2, 3):
-        raise WrongDimError(f"PPT test supports 2 or 3 qubits, got dim {rho.dim}")
-    db = rho.dim // 2
-    r = rho.matrix.reshape(2, db, 2, db)
-    transposed = r.transpose(2, 1, 0, 3).reshape(rho.dim, rho.dim)
-    return _ppt_report(transposed, tol)
+    return _ppt_report(partial_transpose(rho, 0), tol)
 
 
 def critical_epsilon(rho1: DensityMatrix) -> float:
@@ -90,7 +85,7 @@ def critical_epsilon(rho1: DensityMatrix) -> float:
     if rho1.dim != 4:
         raise WrongDimError(f"critical coefficient is defined for 2 qubits, got dim {rho1.dim}")
     _require_pure(rho1)
-    lam_min = float(_eigvalsh_or_fail(partial_transpose(rho1, "B")).min())
+    lam_min = float(_eigvalsh_or_fail(partial_transpose(rho1, 1)).min())
     return min(1.0, 1.0 / (1.0 - rho1.dim * lam_min))
 
 

@@ -6,6 +6,10 @@ expectation values ``<P> = tr(rho P)``, reconstruct by linear inversion
 the closest unit-trace PSD matrix (Frobenius norm), which reduces to
 projecting the eigenvalue vector onto the probability simplex.
 
+:func:`closest_physical_state` ends in the same projection, after making a
+printed or derived matrix Hermitian with unit trace, and only if an
+eigenvalue is negative.
+
 The ``4^n`` Pauli products of each qubit count are built once, on first use,
 into a read-only ``(4^n, d, d)`` stack in canonical label order.  Every
 per-label sum is then a single array contraction over that stack: one
@@ -29,17 +33,14 @@ from nmrsim.core import (
     PAULI_1Q,
     STRICT,
     DensityMatrix,
+    _as_complex_matrix,
     _eigh_or_fail,
+    _require_square,
     hermiticity_defect,
     tensor,
     validate_density,
 )
-from nmrsim.errors import (
-    BadTraceError,
-    NotHermitianError,
-    NotSquareError,
-    NumericalFailureError,
-)
+from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError
 
 __all__ = [
     "MAX_QUBITS",
@@ -52,18 +53,20 @@ __all__ = [
     "reconstruct_linear",
     "simplex_project",
     "project_psd",
+    "closest_physical_state",
 ]
 
 MAX_QUBITS = 3
 _PAULI_CHARS = "IXYZ"
 
 
-def pauli_labels(n_qubits: int) -> list[str]:
+@lru_cache(maxsize=None)
+def pauli_labels(n_qubits: int) -> tuple[str, ...]:
     """All ``4^n`` Pauli product labels in canonical order ("II", "IX", ...).
 
     The leftmost character acts on qubit 1 (the first tensor factor).
     """
-    return ["".join(t) for t in itertools.product(_PAULI_CHARS, repeat=n_qubits)]
+    return tuple("".join(t) for t in itertools.product(_PAULI_CHARS, repeat=n_qubits))
 
 
 @lru_cache(maxsize=None)
@@ -79,14 +82,9 @@ def pauli_matrix(label: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _labels(n_qubits: int) -> tuple[str, ...]:
-    return tuple(pauli_labels(n_qubits))
-
-
-@lru_cache(maxsize=None)
 def _stack(n_qubits: int) -> np.ndarray:
     """Read-only ``(4^n, d, d)`` array of :func:`pauli_matrix` in label order."""
-    s = np.stack([pauli_matrix(label) for label in _labels(n_qubits)])
+    s = np.stack([pauli_matrix(label) for label in pauli_labels(n_qubits)])
     s.setflags(write=False)
     return s
 
@@ -105,7 +103,7 @@ class PauliExpectationSet:
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits}")
-        expected = _labels(self.n_qubits)
+        expected = pauli_labels(self.n_qubits)
         values = dict(self.values)
         missing = [l for l in expected if l not in values]
         if missing:
@@ -147,7 +145,7 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     failure.
     """
     _require_small(rho)
-    labels = _labels(rho.n_qubits)
+    labels = pauli_labels(rho.n_qubits)
     t = np.einsum("kij,ji->k", _stack(rho.n_qubits), rho.matrix)
     bad = np.flatnonzero(~(np.abs(t.imag[1:]) <= 1e-12))  # NaN fails too
     if bad.size:
@@ -168,7 +166,7 @@ def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpect
     exact = pauli_expectations(rho)
     rng = np.random.default_rng(cfg.seed)
     shots = cfg.shots_per_observable
-    labels = _labels(rho.n_qubits)
+    labels = pauli_labels(rho.n_qubits)
     t = np.fromiter(exact.values.values(), dtype=float, count=len(labels))
     ups = rng.binomial(shots, np.clip((1.0 + t[1:]) / 2.0, 0.0, 1.0))
     values = dict(zip(labels[1:], (2.0 * ups / shots - 1.0).tolist()))
@@ -198,6 +196,11 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def _project(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
+    """Reassemble eigenpairs ``(w, v)`` with ``w`` projected onto the simplex."""
+    return validate_density((v * simplex_project(w)) @ v.conj().T, STRICT)
+
+
 def project_psd(h) -> DensityMatrix:
     """Closest (Frobenius) unit-trace PSD matrix to a Hermitian ``h``.
 
@@ -205,17 +208,30 @@ def project_psd(h) -> DensityMatrix:
     simplex, and reassembles.  Idempotent; requires hermiticity and trace 1
     within 1e-9.
     """
-    a = np.array(h, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {a.shape}")
+    a = _as_complex_matrix(h)
+    _require_square(a)
     herm = hermiticity_defect(a)
     if not herm <= 1e-9:  # NaN fails too
         raise NotHermitianError(herm)
     trace_dev = abs(complex(np.trace(a)) - 1.0)
     if not trace_dev <= 1e-9:
         raise BadTraceError(trace_dev)
-    sym = (a + a.conj().T) / 2.0
-    w, v = _eigh_or_fail(sym)
-    w = simplex_project(w)
-    out = (v * w) @ v.conj().T
-    return validate_density(out, STRICT)
+    return _project(*_eigh_or_fail((a + a.conj().T) / 2.0))
+
+
+def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
+    """Make a printed/derived matrix metric-ready: renormalize trace, project.
+
+    Returns the strict-valid state plus flags recording what was done: the
+    trace was renormalized, and the eigenvalues were projected because one
+    was negative.
+    """
+    a = _as_complex_matrix(m)
+    _require_square(a)
+    t = complex(np.trace(a)).real
+    renormalized = abs(t - 1.0) > 1e-12
+    a = a / t
+    a = (a + a.conj().T) / 2.0
+    w, v = _eigh_or_fail(a)
+    projected = bool(w.min() < 0.0)
+    return (_project(w, v) if projected else validate_density(a, STRICT)), renormalized, projected

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 from importlib import resources
 from pathlib import Path
 
@@ -260,6 +261,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
 
+    def test_seed_without_shots_is_usage_error(self, capsys):
+        # exact expectations draw nothing, so a seed would be echoed but never read
+        code, out, err = run_cli(
+            capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", "0", "--seed", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nmrsim: ")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -269,9 +279,10 @@ class TestExitCodes:
             ["maximally_mixed_2q.json", "--critical", "--rho1", "bell_state.json"],
             ["--critical", "--epsilon", "0.2", "--rho1", "bell_state.json"],
             ["--epsilon", "0.2"],
+            ["--critical", "--rho1", "bell_state.json", "--tol", "1e-3"],
         ],
         ids=["state+epsilon+rho1", "state+rho1", "state+epsilon", "critical+state", "critical+epsilon",
-             "epsilon-without-rho1"],
+             "epsilon-without-rho1", "critical+tol"],
     )
     def test_conflicting_separability_inputs_are_usage_errors(self, capsys, argv):
         # each input mode must not silently drop another mode's flags
@@ -388,17 +399,21 @@ class TestParserReuse:
     """``main`` builds its parser once; no call may leak state into the next."""
 
     def test_flags_do_not_leak_into_the_next_call(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "separability", "--critical", "--rho1", data_path("bell_state.json"), "--tol", "1e-3",
-            "--format", "json",
-        )
+        state = data_path("maximally_mixed_2q.json")
+        code, out, _ = run_cli(capsys, "separability", state, "--tol", "1e-3", "--format", "json")
         assert code == 0
         assert json.loads(out)["tolerance"] == 1e-3
-        code, out, _ = run_cli(capsys, "separability", data_path("maximally_mixed_2q.json"), "--format", "json")
+        code, out, _ = run_cli(capsys, "separability", state, "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["tolerance"] == DEFAULT_PPT_TOL
         assert payload["mode"] == "ppt"
+        # a leaked --tol would make --critical a usage error
+        code, out, _ = run_cli(
+            capsys, "separability", "--critical", "--rho1", data_path("bell_state.json"), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["mode"] == "critical"
 
     def test_usage_error_then_valid_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -419,3 +434,25 @@ class TestParserReuse:
             assert run_cli(capsys, *argv)[0] == 0
         assert build_parser.cache_info().misses == 1
         assert build_parser() is build_parser()
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``nmrsim`` line in README's "Command line" block."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["nmrsim"]]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # the README runs from a checkout; here bundled inputs come from the
+    # installed data directory and written files land in a scratch cwd
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"repro", "evolve", "separability", "tomography", "ensemble"}
+    prefix = "src/nmrsim/data/"
+    for argv in commands:
+        argv = [data_path(a[len(prefix):]) if a.startswith(prefix) else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,11 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import max_abs_diff
-from nmrsim.core import EXPERIMENTAL, STRICT, check_unitary, validate_density
-from nmrsim.errors import NumericalFailureError, ParseError
+from nmrsim.core import EXPERIMENTAL, check_unitary, validate_density
+from nmrsim.errors import ParseError
 from nmrsim.repro import (
     check_against_baselines,
-    closest_physical_state,
     export_dataset,
     load_baselines,
     load_dataset,
@@ -20,6 +20,7 @@ from nmrsim.repro import (
 from nmrsim.serialize import load_matrix
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "nmrsim" / "data"
+CHECKED = ("max_dev_vs_printed_th", "fidelity_exp_vs_computed_th", "trace_distance_exp_vs_computed_th")
 
 
 def frac_complex_matrix(m):
@@ -152,6 +153,13 @@ class TestReproduceTheory:
         assert report.diagnostics["computed_rho_th"].psd_projected
         assert not report.diagnostics["computed_rho_th"].trace_renormalized
 
+    def test_diagnostics_record_printed_prediction_handling(self):
+        # the printed prediction (trace 1.0001, min eigenvalue -0.0077) is
+        # renormalized and projected before its informational fidelity
+        printed = reproduce_theory().diagnostics["rho_th_printed"]
+        assert printed.trace_renormalized and printed.psd_projected
+        assert printed.trace_deviation > 1e-12 and printed.min_eigenvalue < 0.0
+
     def test_metric_bounds(self):
         report = reproduce_theory()
         assert 0.0 <= report.fidelity_exp_vs_computed_th <= 1.0
@@ -161,26 +169,6 @@ class TestReproduceTheory:
         # informational: the printed prediction is the rounded computed state,
         # so their fidelity sits essentially at 1
         assert reproduce_theory().fidelity_computed_vs_printed_th > 0.999999
-
-
-class TestClosestPhysicalState:
-    def test_strict_state_untouched(self):
-        state, renorm, projected = closest_physical_state(np.eye(4) / 4)
-        assert not renorm and not projected
-        assert max_abs_diff(state.matrix, np.eye(4) / 4) <= 1e-15
-
-    def test_output_is_strict_valid(self):
-        ds = load_dataset()
-        state, renorm, projected = closest_physical_state(ds.rho_exp_after)
-        assert renorm and projected
-        validate_density(state.matrix, STRICT)
-
-
-    def test_non_finite_entry_is_numerical_failure(self):
-        m = np.eye(4, dtype=complex) / 4
-        m[0, 1] = np.nan
-        with pytest.raises(NumericalFailureError, match="non-finite"):
-            closest_physical_state(m)
 
 
 class TestExportAndBaselines:
@@ -248,6 +236,19 @@ class TestExportAndBaselines:
         path.write_text(json.dumps(baselines))
         with pytest.raises(ParseError):
             load_baselines(path)
+
+    @pytest.mark.parametrize(
+        "baselines",
+        [
+            {"values": dict.fromkeys(CHECKED, 123.0), "tolerances": dict.fromkeys(CHECKED, math.inf)},
+            {"values": dict.fromkeys(CHECKED, 0.5)},
+            {"values": dict.fromkeys(CHECKED, 0.5), "tolerances": dict.fromkeys(CHECKED, "1e-9")},
+        ],
+        ids=["infinite-tolerances", "missing-tolerances", "string-tolerances"],
+    )
+    def test_hand_built_baselines_are_checked(self, baselines):
+        with pytest.raises(ParseError):
+            check_against_baselines(reproduce_theory(), baselines)
 
     def test_missing_baselines_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):

@@ -26,44 +26,49 @@ from nmrsim.separability import (
 class TestPartialTranspose:
     def test_identity_fixed(self):
         rho = validate_density(np.eye(4) / 4, STRICT)
-        assert max_abs_diff(partial_transpose(rho, "B"), np.eye(4) / 4) == 0.0
+        assert max_abs_diff(partial_transpose(rho, 1), np.eye(4) / 4) == 0.0
 
     def test_diagonal_product_state_fixed(self):
         rho = density_from_pure(basis_state(2, 0))
-        assert max_abs_diff(partial_transpose(rho, "B"), rho.matrix) == 0.0
+        assert max_abs_diff(partial_transpose(rho, 1), rho.matrix) == 0.0
 
     def test_bell_spectrum(self):
         rho = density_from_pure(bell_state("phi+"))
-        eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho, "B")))
+        eigs = np.sort(np.linalg.eigvalsh(partial_transpose(rho, 1)))
         assert max_abs_diff(eigs, [-0.5, 0.5, 0.5, 0.5]) < 1e-12
 
-    @pytest.mark.parametrize("subsystem", ["A", "B"])
-    def test_involution_trace_hermiticity(self, subsystem):
+    @pytest.mark.parametrize(
+        "n_qubits, qubit", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)], ids=["2-0", "2-1", "3-0", "3-1", "3-2"]
+    )
+    def test_involution_trace_hermiticity(self, n_qubits, qubit):
         rng = np.random.default_rng(61)
+        dim = 1 << n_qubits
         for _ in range(20):
-            rho = random_density(rng, 4)
-            pt = partial_transpose(rho, subsystem)
-            assert abs(np.trace(pt) - np.trace(rho.matrix)) == 0.0
-            assert max_abs_diff(pt, pt.conj().T) == 0.0
-            twice = partial_transpose(_rewrap(pt), subsystem)
+            rho = random_density(rng, dim)
+            pt = partial_transpose(rho, qubit)
+            assert np.trace(pt) == np.trace(rho.matrix)
+            assert np.array_equal(pt, pt.conj().T)
+            # partial transposes of entangled states are not PSD, so rewrap without validation
+            twice = partial_transpose(DensityMatrix(pt, dim, n_qubits), qubit)
             assert np.array_equal(twice, rho.matrix)
 
+    def test_bell_pair_on_last_two_qubits(self):
+        # |0> (x) |phi+>: qubit 0 is a product factor, qubits 1 and 2 share the Bell pair
+        psi = pure_state(np.kron(basis_state(1, 0).amplitudes, bell_state("phi+").amplitudes))
+        rho = density_from_pure(psi)
+        for qubit, expected in ((0, 0.0), (1, -0.5), (2, -0.5)):
+            assert np.linalg.eigvalsh(partial_transpose(rho, qubit)).min() == pytest.approx(expected, abs=1e-12)
+
     def test_wrong_dim(self):
-        with pytest.raises(WrongDimError):
-            partial_transpose(validate_density(np.eye(2) / 2, STRICT), "B")
+        for dim in (2, 16):
+            with pytest.raises(WrongDimError):
+                partial_transpose(validate_density(np.eye(dim) / dim, STRICT), 0)
 
     def test_bad_subsystem(self):
         rho = validate_density(np.eye(4) / 4, STRICT)
-        with pytest.raises(ValueError):
-            partial_transpose(rho, "C")
-
-
-def _rewrap(pt):
-    # partial transposes of entangled states are not PSD, so rewrap without
-    # validation for the involution test
-    from nmrsim.core import DensityMatrix
-
-    return DensityMatrix(pt, 4, 2)
+        for qubit in (-1, 2):
+            with pytest.raises(ValueError, match="qubit"):
+                partial_transpose(rho, qubit)
 
 
 class TestPptReport:

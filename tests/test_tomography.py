@@ -16,10 +16,12 @@ from nmrsim.core import (
     fidelity,
     validate_density,
 )
-from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError
+from nmrsim.errors import BadTraceError, NotHermitianError, NotSquareError, NumericalFailureError
+from nmrsim.repro import load_dataset
 from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
+    closest_physical_state,
     pauli_expectations,
     pauli_labels,
     pauli_matrix,
@@ -93,9 +95,10 @@ def densities(draw):
 
 class TestPauliBasis:
     def test_labels_canonical_order(self):
-        assert pauli_labels(1) == ["I", "X", "Y", "Z"]
-        assert pauli_labels(2)[:5] == ["II", "IX", "IY", "IZ", "XI"]
+        assert pauli_labels(1) == ("I", "X", "Y", "Z")
+        assert pauli_labels(2)[:5] == ("II", "IX", "IY", "IZ", "XI")
         assert len(pauli_labels(3)) == 64
+        assert pauli_labels(3) is pauli_labels(3)
 
     def test_leftmost_label_is_first_factor(self):
         assert max_abs_diff(pauli_matrix("ZI"), np.diag([1, 1, -1, -1])) == 0.0
@@ -313,6 +316,39 @@ class TestProjectPsd:
         m[where] = np.nan
         with pytest.raises(NotHermitianError):
             project_psd(m)
+
+
+class TestClosestPhysicalState:
+    def test_strict_state_untouched(self):
+        state, renorm, projected = closest_physical_state(np.eye(4) / 4)
+        assert not renorm and not projected
+        assert max_abs_diff(state.matrix, np.eye(4) / 4) <= 1e-15
+
+    def test_output_is_strict_valid(self):
+        ds = load_dataset()
+        state, renorm, projected = closest_physical_state(ds.rho_exp_after)
+        assert renorm and projected
+        validate_density(state.matrix, STRICT)
+
+    def test_non_finite_entry_is_numerical_failure(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.nan
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            closest_physical_state(m)
+
+    def test_projection_runs_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solver=solver: calls.append(name) or solver(a))
+        _, _, projected = closest_physical_state(load_dataset().rho_exp_after)
+        # one decomposition decides and projects; the strict validation of the result checks its spectrum
+        assert projected and calls == ["eigh", "eigvalsh"]
+
+    def test_rejects_non_square_input(self):
+        for m in (np.ones((2, 3)) / 2, np.ones(4) / 4):
+            with pytest.raises(NotSquareError):
+                closest_physical_state(m)
 
 
 class TestNoisyPipeline:
