@@ -136,9 +136,11 @@ class DensityInvariants(NamedTuple):
 
 
 def _as_complex_matrix(m) -> np.ndarray:
+    """Copy ``m`` into a finite 2-d complex array; every public matrix check starts here."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
+    _require_finite(a)
     return a
 
 
@@ -192,13 +194,10 @@ def density_invariants(m) -> DensityInvariants:
     """Trace, hermiticity defect and minimum eigenvalue of the Hermitian part.
 
     The eigenvalue is taken of ``(m + m^dag) / 2`` so that a tiny asymmetry
-    cannot skew the PSD judgement.  It is NaN when ``m`` has a non-finite
-    entry, for which the eigensolver has no defined result.
+    cannot skew the PSD judgement.
     """
     a = np.asarray(m, dtype=complex)
-    lam_min = float("nan")
-    if np.isfinite(a).all():
-        lam_min = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min())
+    lam_min = float(_eigvalsh_or_fail((a + a.conj().T) / 2.0).min())
     return DensityInvariants(complex(np.trace(a)), hermiticity_defect(a), lam_min)
 
 
@@ -222,6 +221,8 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     NotPsdError
         Naming the violated invariant and its measured magnitude, checked in
         that order.
+    NumericalFailureError
+        If ``m`` has a NaN or infinite entry.
     """
     a = _as_complex_matrix(m)
     _require_square(a)
@@ -232,7 +233,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     trace_dev = abs(inv.trace - 1.0)
     if trace_dev > profile.trace_tol:
         raise BadTraceError(trace_dev)
-    if not inv.min_eigenvalue >= -profile.psd_tol:  # NaN fails too
+    if inv.min_eigenvalue < -profile.psd_tol:
         raise NotPsdError(inv.min_eigenvalue)
     return DensityMatrix(_freeze(a), a.shape[0], n)
 
@@ -322,25 +323,30 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits)
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    # Eigenvalues below 0 (roundoff on near-PSD data) are clipped to 0.
+def _sqrt_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Eigenvalues below 0 (roundoff on near-PSD data) are clipped to 0 before the root.
     w, v = _eigh_or_fail((m + m.conj().T) / 2.0)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return np.sqrt(np.clip(w, 0.0, None)), v
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2`` in [0, 1].
 
     Symmetric in its arguments to 1e-9 and equal to 1 iff the states
-    coincide.  For a pure ``sigma`` it reduces to ``tr(rho sigma)``.
+    coincide.  For a pure ``sigma`` it reduces to ``tr(rho sigma)``.  The trace
+    is the sum of the singular values of ``sqrt(rho) sqrt(sigma)``; the square
+    roots of the round-off eigenvalues of a rank-deficient inner matrix would
+    be off by about 1e-8, and differently for each argument order.
     """
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
-    sq = _sqrt_psd(rho.matrix)
-    inner = sq @ sigma.matrix @ sq
-    w = _eigvalsh_or_fail((inner + inner.conj().T) / 2.0)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(max(f, 0.0), 1.0)
+    sr, vr = _sqrt_eig(rho.matrix)
+    ss, vs = _sqrt_eig(sigma.matrix)
+    try:
+        s = np.linalg.svd(sr[:, None] * (vr.conj().T @ vs) * ss, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"singular value decomposition failed: {exc}") from exc
+    return min(float(np.sum(s) ** 2), 1.0)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

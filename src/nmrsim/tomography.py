@@ -8,13 +8,14 @@ projecting the eigenvalue vector onto the probability simplex.
 
 :func:`closest_physical_state` ends in the same projection, after making a
 printed or derived matrix Hermitian with unit trace, and only if an
-eigenvalue is negative.
+eigenvalue is below ``-STRICT.psd_tol``.
 
 The ``4^n`` Pauli products of each qubit count are built once, on first use,
-into a read-only ``(4^n, d, d)`` stack in canonical label order.  Every
-per-label sum is then a single array contraction over that stack: one
-``einsum`` gives all expectations, one vectorized binomial draw gives all
-shot-noise counts, and one ``tensordot`` gives the linear reconstruction.
+into a read-only ``(4^n, d, d)`` stack in canonical label order, and an
+expectation set holds its values as one ``(4^n,)`` array in the same order.
+Every per-label sum is then a single array operation: one ``einsum`` gives all
+expectations, one vectorized binomial draw gives all shot-noise counts, and
+one ``tensordot`` gives the linear reconstruction.
 
 Randomness contract: shot noise uses ``numpy.random.default_rng(seed)``
 (the PCG64 generator, stable across platforms).  Each non-identity label, in
@@ -89,37 +90,35 @@ def _stack(n_qubits: int) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliExpectationSet:
     """Complete set of Pauli product expectations for ``n_qubits`` qubits.
 
-    Invariants: one value per label, the identity entry is exactly 1, and
-    every magnitude is at most ``1 + 1e-12``.
+    ``values`` is a read-only float64 array of length ``4^n``: ``values[k]``
+    belongs to ``pauli_labels(n_qubits)[k]``.  Invariants: the identity entry
+    ``values[0]`` is exactly 1, and every magnitude is at most ``1 + 1e-12``.
     """
 
     n_qubits: int
-    values: dict
+    values: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits}")
-        expected = pauli_labels(self.n_qubits)
-        values = dict(self.values)
-        missing = [l for l in expected if l not in values]
-        if missing:
-            raise ValueError(f"incomplete expectation set: missing {missing[:8]}{'...' if len(missing) > 8 else ''}")
-        extra = sorted(set(values) - set(expected))
-        if extra:
-            raise ValueError(f"unknown Pauli labels: {extra[:8]}")
-        identity = "I" * self.n_qubits
-        if values[identity] != 1.0:
-            raise ValueError(f"identity expectation must be exactly 1, got {values[identity]}")
-        for label in expected:
-            v = float(values[label])
-            if not abs(v) <= 1.0 + 1e-12:  # NaN fails too
-                raise ValueError(f"expectation {label} = {v} exceeds magnitude 1")
-            values[label] = v
-        object.__setattr__(self, "values", {l: values[l] for l in expected})
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "iuf":  # a float cast would drop an imaginary part with only a warning
+            raise ValueError(f"expectations must be real numbers, got dtype {v.dtype}")
+        v = np.array(v, dtype=float)
+        if v.shape != (4**self.n_qubits,):
+            raise ValueError(f"expected {4**self.n_qubits} expectations, got shape {v.shape}")
+        if v[0] != 1.0:
+            raise ValueError(f"identity expectation must be exactly 1, got {v[0]}")
+        bad = np.flatnonzero(~(np.abs(v) <= 1.0 + 1e-12))  # NaN fails too
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -132,11 +131,6 @@ class ShotNoiseConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots_per_observable}")
 
 
-def _require_small(rho: DensityMatrix) -> None:
-    if rho.n_qubits > MAX_QUBITS:
-        raise ValueError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
-
-
 def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     """Noiseless expectations ``tr(rho P)`` for every Pauli product ``P``.
 
@@ -144,15 +138,16 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     imaginary residue beyond 1e-12 (or a NaN) on the others is a numerical
     failure.
     """
-    _require_small(rho)
+    if rho.n_qubits > MAX_QUBITS:
+        raise ValueError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
     labels = pauli_labels(rho.n_qubits)
     t = np.einsum("kij,ji->k", _stack(rho.n_qubits), rho.matrix)
     bad = np.flatnonzero(~(np.abs(t.imag[1:]) <= 1e-12))  # NaN fails too
     if bad.size:
         k = int(bad[0]) + 1
         raise NumericalFailureError(f"expectation {labels[k]} has imaginary part {t.imag[k]:.3e}")
-    values = dict(zip(labels, t.real.tolist()))
-    values[labels[0]] = 1.0
+    values = t.real
+    values[0] = 1.0
     return PauliExpectationSet(rho.n_qubits, values)
 
 
@@ -166,12 +161,8 @@ def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpect
     exact = pauli_expectations(rho)
     rng = np.random.default_rng(cfg.seed)
     shots = cfg.shots_per_observable
-    labels = pauli_labels(rho.n_qubits)
-    t = np.fromiter(exact.values.values(), dtype=float, count=len(labels))
-    ups = rng.binomial(shots, np.clip((1.0 + t[1:]) / 2.0, 0.0, 1.0))
-    values = dict(zip(labels[1:], (2.0 * ups / shots - 1.0).tolist()))
-    values[labels[0]] = 1.0
-    return PauliExpectationSet(rho.n_qubits, values)
+    ups = rng.binomial(shots, np.clip((1.0 + exact.values[1:]) / 2.0, 0.0, 1.0))
+    return PauliExpectationSet(rho.n_qubits, np.concatenate(([1.0], 2.0 * ups / shots - 1.0)))
 
 
 def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
@@ -181,8 +172,7 @@ def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
     coefficient is pinned to 1); eigenvalues may be negative under noise, so
     follow with :func:`project_psd` when a physical state is required.
     """
-    coeffs = np.fromiter(e.values.values(), dtype=float, count=len(e.values))
-    return np.tensordot(coeffs, _stack(e.n_qubits), 1) / (1 << e.n_qubits)
+    return np.tensordot(e.values, _stack(e.n_qubits), 1) / (1 << e.n_qubits)
 
 
 def simplex_project(v) -> np.ndarray:
@@ -211,10 +201,10 @@ def project_psd(h) -> DensityMatrix:
     a = _as_complex_matrix(h)
     _require_square(a)
     herm = hermiticity_defect(a)
-    if not herm <= 1e-9:  # NaN fails too
+    if herm > 1e-9:
         raise NotHermitianError(herm)
     trace_dev = abs(complex(np.trace(a)) - 1.0)
-    if not trace_dev <= 1e-9:
+    if trace_dev > 1e-9:
         raise BadTraceError(trace_dev)
     return _project(*_eigh_or_fail((a + a.conj().T) / 2.0))
 
@@ -224,7 +214,7 @@ def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
 
     Returns the strict-valid state plus flags recording what was done: the
     trace was renormalized, and the eigenvalues were projected because one
-    was negative.
+    was below ``-STRICT.psd_tol``, so round-off on a zero eigenvalue is left as is.
     """
     a = _as_complex_matrix(m)
     _require_square(a)
@@ -233,5 +223,5 @@ def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
     a = a / t
     a = (a + a.conj().T) / 2.0
     w, v = _eigh_or_fail(a)
-    projected = bool(w.min() < 0.0)
+    projected = bool(w.min() < -STRICT.psd_tol)
     return (_project(w, v) if projected else validate_density(a, STRICT)), renormalized, projected

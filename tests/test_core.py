@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import max_abs_diff, random_density, random_pure, random_unitary
+from helpers import densities, max_abs_diff, random_density, random_pure, random_unitary, unitaries
 from nmrsim.core import (
     EXPERIMENTAL,
     PAULI_1Q,
@@ -32,7 +34,6 @@ from nmrsim.errors import (
     NotSquareError,
     NotUnitaryError,
     NumericalFailureError,
-    ValidationError,
 )
 from nmrsim.repro import load_dataset
 
@@ -94,8 +95,9 @@ class TestValidateDensity:
         # the eigensolver has no defined result here; it used to pass or raise LinAlgError
         m = np.eye(2, dtype=complex) / 2
         m[where] = np.nan
-        assert np.isnan(density_invariants(m).min_eigenvalue)
-        with pytest.raises(ValidationError):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            density_invariants(m)
+        with pytest.raises(NumericalFailureError, match="non-finite"):
             validate_density(m, STRICT)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -269,6 +271,14 @@ class TestCheckUnitary:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             validate_unitary(np.eye(2), tol)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        for check in (check_unitary, validate_unitary):
+            with pytest.raises(NumericalFailureError, match="non-finite"):
+                check(m)
+
     def test_validate_unitary_rejects(self):
         with pytest.raises(NotUnitaryError) as exc:
             validate_unitary(np.eye(2) * 2)
@@ -313,3 +323,21 @@ def test_eigendecomposition_accuracy_up_to_dim_8():
         back = (v * w) @ v.conj().T
         scale = float(np.max(np.abs(h)))
         assert max_abs_diff(back, h) / scale < 1e-10
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(densities(n), unitaries(n))))
+    def test_evolve_preserves_trace_and_spectrum(self, case):
+        rho, u = case
+        out = evolve(rho, u)
+        assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
+        assert max_abs_diff(np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix)) <= 1e-9
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(densities(n), densities(n))))
+    def test_fidelity_is_symmetric_and_bounded(self, pair):
+        rho, sigma = pair
+        f = fidelity(rho, sigma)
+        assert 0.0 <= f <= 1.0
+        assert abs(f - fidelity(sigma, rho)) <= 1e-9

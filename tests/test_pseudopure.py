@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import max_abs_diff, random_pure, random_unitary
+from helpers import max_abs_diff, pure_densities, random_pure, random_unitary
 from nmrsim.core import STRICT, DensityMatrix, basis_state, bell_state, density_from_pure, evolve, validate_density
 from nmrsim.errors import (
     DimMismatchError,
@@ -105,6 +107,13 @@ class TestExtract:
             est = extract_epsilon(compose_pseudopure(eps, rho1), rho1)
             assert abs(est.epsilon - eps) < 1e-12
             assert not est.out_of_model
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(1, 3).flatmap(pure_densities))
+    def test_extract_inverts_compose(self, eps, rho1):
+        est = extract_epsilon(compose_pseudopure(eps, rho1), rho1)
+        assert abs(est.epsilon - eps) <= 1e-12
+        assert not est.out_of_model
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_unitary_covariance(self, dim):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import max_abs_diff, random_density, random_pure
+from helpers import densities, max_abs_diff, random_density, random_pure
 from nmrsim.core import (
     STRICT,
     DensityMatrix,
@@ -51,6 +53,15 @@ class TestPartialTranspose:
             # partial transposes of entangled states are not PSD, so rewrap without validation
             twice = partial_transpose(DensityMatrix(pt, dim, n_qubits), qubit)
             assert np.array_equal(twice, rho.matrix)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(densities(n), st.integers(0, n - 1))))
+    def test_involution_property(self, case):
+        # 1-qubit states have no bipartition, so only 2 and 3 qubits are drawn
+        rho, qubit = case
+        pt = partial_transpose(rho, qubit)
+        twice = partial_transpose(DensityMatrix(pt, rho.dim, rho.n_qubits), qubit)
+        assert np.array_equal(twice, rho.matrix)
 
     def test_bell_pair_on_last_two_qubits(self):
         # |0> (x) |phi+>: qubit 0 is a product factor, qubits 1 and 2 share the Bell pair

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_abs_diff, random_density
+from helpers import densities, max_abs_diff, random_density
 from nmrsim.core import (
     STRICT,
     DensityMatrix,
@@ -80,17 +80,9 @@ def oracle_shot_noise(rho, shots, seed):
     return values
 
 
-@st.composite
-def densities(draw):
-    """Random 1- to 3-qubit states ``G G^dag / tr`` of rank 1 to d, plus 1e-6 I so the trace is never 0."""
-    n = draw(st.integers(1, 3))
-    d = 1 << n
-    rank = draw(st.integers(1, d))
-    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
-    g = np.array(draw(st.lists(parts, min_size=2 * d * rank, max_size=2 * d * rank)))
-    g = (g[: d * rank] + 1j * g[d * rank :]).reshape(d, rank)
-    m = g @ g.conj().T + 1e-6 * np.eye(d)
-    return validate_density(m / np.trace(m).real, STRICT)
+def by_label(e):
+    """The set's values keyed by Pauli label, in canonical order."""
+    return dict(zip(pauli_labels(e.n_qubits), e.values.tolist()))
 
 
 class TestPauliBasis:
@@ -112,25 +104,25 @@ class TestPauliBasis:
 class TestExpectations:
     def test_maximally_mixed(self):
         e = pauli_expectations(validate_density(np.eye(4) / 4, STRICT))
-        for label, v in e.values.items():
+        for label, v in by_label(e).items():
             assert v == (1.0 if label == "II" else pytest.approx(0.0, abs=1e-12))
 
     def test_basis_state(self):
-        e = pauli_expectations(density_from_pure(basis_state(2, 0)))
+        e = by_label(pauli_expectations(density_from_pure(basis_state(2, 0))))
         for label in ("ZI", "IZ", "ZZ"):
-            assert e.values[label] == pytest.approx(1.0, abs=1e-12)
-        others = set(e.values) - {"II", "ZI", "IZ", "ZZ"}
+            assert e[label] == pytest.approx(1.0, abs=1e-12)
+        others = set(e) - {"II", "ZI", "IZ", "ZZ"}
         for label in others:
-            assert e.values[label] == pytest.approx(0.0, abs=1e-12)
+            assert e[label] == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state(self):
-        e = pauli_expectations(density_from_pure(bell_state("phi+")))
-        assert e.values["XX"] == pytest.approx(1.0, abs=1e-12)
-        assert e.values["YY"] == pytest.approx(-1.0, abs=1e-12)
-        assert e.values["ZZ"] == pytest.approx(1.0, abs=1e-12)
-        others = set(e.values) - {"II", "XX", "YY", "ZZ"}
+        e = by_label(pauli_expectations(density_from_pure(bell_state("phi+"))))
+        assert e["XX"] == pytest.approx(1.0, abs=1e-12)
+        assert e["YY"] == pytest.approx(-1.0, abs=1e-12)
+        assert e["ZZ"] == pytest.approx(1.0, abs=1e-12)
+        others = set(e) - {"II", "XX", "YY", "ZZ"}
         for label in others:
-            assert e.values[label] == pytest.approx(0.0, abs=1e-12)
+            assert e[label] == pytest.approx(0.0, abs=1e-12)
 
     def test_too_many_qubits(self):
         with pytest.raises(ValueError):
@@ -141,7 +133,7 @@ class TestExpectations:
         rng = np.random.default_rng(70 + n_qubits)
         for _ in range(10):
             rho = random_density(rng, 1 << n_qubits)
-            got = pauli_expectations(rho).values
+            got = by_label(pauli_expectations(rho))
             want = oracle_expectations(rho)
             assert list(got) == list(want)
             assert max(abs(got[k] - want[k].real) for k in want) <= 1e-15
@@ -161,16 +153,32 @@ class TestExpectations:
             pauli_expectations(DensityMatrix(m, 4, 2))
 
     def test_set_invariants(self):
+        cases = [
+            ([1.0, 0.0, 0.0], "expected 4 expectations"),
+            ([0.999, 0.0, 0.0, 0.0], "identity expectation must be exactly 1"),
+            ([1.0, 1.5, 0.0, 0.0], "expectation X = 1.5 exceeds magnitude 1"),
+            ([1.0, 0.0, float("nan"), 0.0], "expectation Y = nan exceeds magnitude 1"),
+            ([1.0, 0.0, 0.0, 0.0, 0.0], "expected 4 expectations"),
+            # a bare float cast would drop 0.5j with only a ComplexWarning
+            ([1.0, 0.5j, 0.0, 0.0], "must be real numbers"),
+        ]
+        for values, message in cases:
+            with pytest.raises(ValueError, match=message):
+                PauliExpectationSet(1, values)
+
+    def test_values_are_a_read_only_copy(self):
+        caller = np.array([1.0, 0.25, -0.5, 0.0])
+        e = PauliExpectationSet(1, caller)
+        assert e.values.dtype == np.float64 and not e.values.flags.writeable
+        assert not np.shares_memory(e.values, caller)
+        caller[1] = 0.75
+        assert e.values.tolist() == [1.0, 0.25, -0.5, 0.0]
         with pytest.raises(ValueError):
-            PauliExpectationSet(1, {"I": 1.0, "X": 0.0, "Y": 0.0})  # missing Z
-        with pytest.raises(ValueError):
-            PauliExpectationSet(1, {"I": 0.999, "X": 0.0, "Y": 0.0, "Z": 0.0})
-        with pytest.raises(ValueError):
-            PauliExpectationSet(1, {"I": 1.0, "X": 1.5, "Y": 0.0, "Z": 0.0})
-        with pytest.raises(ValueError):
-            PauliExpectationSet(1, {"I": 1.0, "X": float("nan"), "Y": 0.0, "Z": 0.0})
-        with pytest.raises(ValueError):
-            PauliExpectationSet(1, {"I": 1.0, "X": 0.0, "Y": 0.0, "Z": 0.0, "Q": 0.0})
+            e.values[1] = 0.0
+
+    def test_sets_compare_by_identity(self):
+        e = pauli_expectations(validate_density(np.eye(2) / 2, STRICT))
+        assert e == e and e != PauliExpectationSet(1, e.values)
 
 
 class TestReconstruct:
@@ -184,8 +192,8 @@ class TestReconstruct:
             assert max_abs_diff(recon, rho.matrix) <= 1e-10
 
     def test_zero_set_gives_maximally_mixed(self):
-        values = {label: 0.0 for label in pauli_labels(2)}
-        values["II"] = 1.0
+        values = np.zeros(len(pauli_labels(2)))
+        values[0] = 1.0
         recon = reconstruct_linear(PauliExpectationSet(2, values))
         assert max_abs_diff(recon, np.eye(4) / 4) == 0.0
 
@@ -208,13 +216,13 @@ class TestShotNoise:
         cfg = ShotNoiseConfig(1000, 12345)
         a = simulate_shot_noise(rho, cfg)
         b = simulate_shot_noise(rho, cfg)
-        assert a.values == b.values
+        assert a.values.tolist() == b.values.tolist()
 
     def test_single_shot_values(self):
         rng = np.random.default_rng(97)
         rho = random_density(rng, 4)
         e = simulate_shot_noise(rho, ShotNoiseConfig(1, 7))
-        for label, v in e.values.items():
+        for label, v in by_label(e).items():
             if label != "II":
                 assert v in (-1.0, 1.0)
 
@@ -224,14 +232,14 @@ class TestShotNoise:
         rho = random_density(rng, 4)
         exact = pauli_expectations(rho)
         noisy = simulate_shot_noise(rho, ShotNoiseConfig(10**6, 31))
-        dev = max(abs(noisy.values[k] - exact.values[k]) for k in exact.values)
+        dev = float(np.max(np.abs(noisy.values - exact.values)))
         assert dev < 0.01
 
     def test_identity_untouched(self):
         rng = np.random.default_rng(103)
         rho = random_density(rng, 4)
         e = simulate_shot_noise(rho, ShotNoiseConfig(3, 5))
-        assert e.values["II"] == 1.0
+        assert by_label(e)["II"] == 1.0
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     @pytest.mark.parametrize("shots", [1, 1000, 10**5])
@@ -239,7 +247,7 @@ class TestShotNoise:
         rng = np.random.default_rng(60 + n_qubits)
         for seed in (0, 1, 7, 12345, 2**31 - 1):
             rho = random_density(rng, 1 << n_qubits)
-            got = simulate_shot_noise(rho, ShotNoiseConfig(shots, seed)).values
+            got = by_label(simulate_shot_noise(rho, ShotNoiseConfig(shots, seed)))
             want = oracle_shot_noise(rho, shots, seed)
             assert list(got.items()) == list(want.items())
 
@@ -314,7 +322,7 @@ class TestProjectPsd:
         # NaN must fail the guards rather than reach the eigensolver
         m = np.eye(2, dtype=complex) / 2
         m[where] = np.nan
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
             project_psd(m)
 
 
@@ -329,6 +337,20 @@ class TestClosestPhysicalState:
         state, renorm, projected = closest_physical_state(ds.rho_exp_after)
         assert renorm and projected
         validate_density(state.matrix, STRICT)
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_rank_deficient_state_is_not_projected(self, n_qubits):
+        # zero eigenvalues come out as round-off of either sign; the parent projected most of these
+        rng = np.random.default_rng(0)
+        d = 1 << n_qubits
+        for rank in range(1, d):
+            for _ in range(20):
+                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                m = g @ g.conj().T
+                m = m / np.trace(m).real
+                state, renorm, projected = closest_physical_state(m)
+                assert not renorm and not projected
+                assert max_abs_diff(state.matrix, m) <= 1e-15
 
     def test_non_finite_entry_is_numerical_failure(self):
         m = np.eye(4, dtype=complex) / 4
@@ -372,7 +394,8 @@ class TestProperties:
     @given(densities())
     def test_expectations_are_real_and_bounded(self, rho):
         values = pauli_expectations(rho).values
-        assert all(type(v) is float and abs(v) <= 1.0 + 1e-12 for v in values.values())
+        assert values.dtype == np.float64 and values.shape == (4**rho.n_qubits,)
+        assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
     @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
     def test_simplex_projection_is_idempotent(self, v):
