@@ -3,11 +3,12 @@
 States and operators are plain complex ``numpy`` arrays wrapped in thin frozen
 dataclasses whose defining invariants are checked at construction time.  All
 operations are pure functions: inputs are never mutated, wrapped arrays are
-marked read-only, and values can be shared freely between threads.
+marked read-only, and values can be shared freely between threads.  A state
+from :func:`validate_density` keeps the eigenpairs its validation computed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -94,12 +95,15 @@ class DensityMatrix:
     """Ensemble-average quantum state: Hermitian, unit trace, PSD.
 
     Construct through :func:`validate_density` (or one of the helpers that
-    guarantee the invariants structurally); ``matrix`` is read-only.
+    guarantee the invariants structurally); ``matrix`` is read-only.  Only
+    :func:`validate_density` fills ``spectrum``: the read-only eigenpairs
+    ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending.
     """
 
     matrix: np.ndarray
     dim: int
     n_qubits: int
+    spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -174,12 +178,16 @@ def _require_finite(m: np.ndarray) -> None:
         raise NumericalFailureError("matrix has a non-finite entry; its eigenvalues are undefined")
 
 
-def _eigh_or_fail(m: np.ndarray):
+def _eigh_or_fail(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs ``(w, v)`` of a Hermitian ``m``, ``w`` ascending."""
     _require_finite(m)
     try:
-        return np.linalg.eigh(m)
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
 
 def _eigvalsh_or_fail(m: np.ndarray) -> np.ndarray:
@@ -194,11 +202,11 @@ def density_invariants(m) -> DensityInvariants:
     """Trace, hermiticity defect and minimum eigenvalue of the Hermitian part.
 
     The eigenvalue is taken of ``(m + m^dag) / 2`` so that a tiny asymmetry
-    cannot skew the PSD judgement.
+    cannot skew the PSD judgement; a validated state's ``spectrum`` is reused.
     """
-    a = np.asarray(m, dtype=complex)
-    lam_min = float(_eigvalsh_or_fail((a + a.conj().T) / 2.0).min())
-    return DensityInvariants(complex(np.trace(a)), hermiticity_defect(a), lam_min)
+    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    w, _ = getattr(m, "spectrum", None) or _eigh_or_fail((a + a.conj().T) / 2.0)
+    return DensityInvariants(complex(np.trace(a)), hermiticity_defect(a), float(w[0]))
 
 
 def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
@@ -227,7 +235,8 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     a = _as_complex_matrix(m)
     _require_square(a)
     n = _n_qubits_for(a.shape[0])
-    inv = density_invariants(a)
+    rho = DensityMatrix(_freeze(a), a.shape[0], n, _eigh_or_fail((a + a.conj().T) / 2.0))
+    inv = density_invariants(rho)
     if inv.hermiticity_defect > profile.hermiticity_tol:
         raise NotHermitianError(inv.hermiticity_defect)
     trace_dev = abs(inv.trace - 1.0)
@@ -235,7 +244,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
         raise BadTraceError(trace_dev)
     if inv.min_eigenvalue < -profile.psd_tol:
         raise NotPsdError(inv.min_eigenvalue)
-    return DensityMatrix(_freeze(a), a.shape[0], n)
+    return rho
 
 
 def check_unitary(m, tol: float = 1e-10) -> UnitarityCheck:
@@ -263,7 +272,7 @@ def pure_state(amplitudes) -> PureState:
     if v.size < 2:
         raise NotNormalizedError(1.0, what="empty or scalar state vector")
     dev = abs(float(np.linalg.norm(v)) - 1.0)
-    if dev > 1e-12:
+    if not dev <= 1e-12:  # NaN fails too
         raise NotNormalizedError(dev, what="state vector")
     return PureState(_freeze(v), v.size)
 
@@ -323,9 +332,9 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits)
 
 
-def _sqrt_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     # Eigenvalues below 0 (roundoff on near-PSD data) are clipped to 0 before the root.
-    w, v = _eigh_or_fail((m + m.conj().T) / 2.0)
+    w, v = rho.spectrum or _eigh_or_fail((rho.matrix + rho.matrix.conj().T) / 2.0)
     return np.sqrt(np.clip(w, 0.0, None)), v
 
 
@@ -340,8 +349,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
-    sr, vr = _sqrt_eig(rho.matrix)
-    ss, vs = _sqrt_eig(sigma.matrix)
+    sr, vr = _sqrt_eig(rho)
+    ss, vs = _sqrt_eig(sigma)
     try:
         s = np.linalg.svd(sr[:, None] * (vr.conj().T @ vs) * ss, compute_uv=False)
     except np.linalg.LinAlgError as exc:

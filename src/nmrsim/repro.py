@@ -158,7 +158,7 @@ def load_baselines(path=None) -> dict:
     return obj
 
 
-def _diagnose(m: np.ndarray, renormalized: bool = False, projected: bool = False) -> MatrixDiagnostics:
+def _diagnose(m, renormalized: bool = False, projected: bool = False) -> MatrixDiagnostics:
     inv = density_invariants(m)
     return MatrixDiagnostics(
         trace_real=float(inv.trace.real),
@@ -183,8 +183,8 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
         ds = load_dataset()
     # any validation failure is a data-entry bug
     rho_initial = validate_density(ds.rho_initial, EXPERIMENTAL)
-    validate_density(ds.rho_exp_after, EXPERIMENTAL)
-    validate_density(ds.rho_th_printed, EXPERIMENTAL)
+    exp_after = validate_density(ds.rho_exp_after, EXPERIMENTAL)
+    printed = validate_density(ds.rho_th_printed, EXPERIMENTAL)
 
     computed = evolve(rho_initial, ds.c_corrected).matrix
     max_dev = float(np.max(np.abs(computed - ds.rho_th_printed)))
@@ -194,9 +194,9 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
     printed_state, printed_renorm, printed_proj = closest_physical_state(ds.rho_th_printed)
 
     diagnostics = {
-        "rho_initial": _diagnose(ds.rho_initial),
-        "rho_exp_after": _diagnose(ds.rho_exp_after, exp_renorm, exp_proj),
-        "rho_th_printed": _diagnose(ds.rho_th_printed, printed_renorm, printed_proj),
+        "rho_initial": _diagnose(rho_initial),
+        "rho_exp_after": _diagnose(exp_after, exp_renorm, exp_proj),
+        "rho_th_printed": _diagnose(printed, printed_renorm, printed_proj),
         "computed_rho_th": _diagnose(computed, th_renorm, th_proj),
     }
     return ReproReport(

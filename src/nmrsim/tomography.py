@@ -15,7 +15,7 @@ into a read-only ``(4^n, d, d)`` stack in canonical label order, and an
 expectation set holds its values as one ``(4^n,)`` array in the same order.
 Every per-label sum is then a single array operation: one ``einsum`` gives all
 expectations, one vectorized binomial draw gives all shot-noise counts, and
-one ``tensordot`` gives the linear reconstruction.
+one matmul over the stack flattened to ``(4^n, d*d)`` gives the reconstruction.
 
 Randomness contract: shot noise uses ``numpy.random.default_rng(seed)``
 (the PCG64 generator, stable across platforms).  Each non-identity label, in
@@ -127,8 +127,9 @@ class ShotNoiseConfig:
     seed: int
 
     def __post_init__(self):
-        if self.shots_per_observable < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots_per_observable}")
+        s = self.shots_per_observable
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 2**63 - 1:
+            raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {s!r}")
 
 
 def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
@@ -140,12 +141,11 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     """
     if rho.n_qubits > MAX_QUBITS:
         raise ValueError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
-    labels = pauli_labels(rho.n_qubits)
     t = np.einsum("kij,ji->k", _stack(rho.n_qubits), rho.matrix)
     bad = np.flatnonzero(~(np.abs(t.imag[1:]) <= 1e-12))  # NaN fails too
     if bad.size:
         k = int(bad[0]) + 1
-        raise NumericalFailureError(f"expectation {labels[k]} has imaginary part {t.imag[k]:.3e}")
+        raise NumericalFailureError(f"expectation {pauli_labels(rho.n_qubits)[k]} has imaginary part {t.imag[k]:.3e}")
     values = t.real
     values[0] = 1.0
     return PauliExpectationSet(rho.n_qubits, values)
@@ -172,7 +172,8 @@ def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
     coefficient is pinned to 1); eigenvalues may be negative under noise, so
     follow with :func:`project_psd` when a physical state is required.
     """
-    return np.tensordot(e.values, _stack(e.n_qubits), 1) / (1 << e.n_qubits)
+    d = 1 << e.n_qubits
+    return (e.values @ _stack(e.n_qubits).reshape(d * d, d * d)).reshape(d, d) / d
 
 
 def simplex_project(v) -> np.ndarray:

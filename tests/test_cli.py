@@ -261,6 +261,16 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("shots", [str(2**63), "100000000000000000000000000000"])
+    def test_shot_count_beyond_int64_is_usage_error(self, capsys, shots):
+        # the binomial draw takes at most 2**63 - 1 trials; beyond that numpy raised a raw OverflowError
+        code, out, err = run_cli(
+            capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", shots, "--seed", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nmrsim: shots must be an integer in [1, 2**63 - 1]")
+
     def test_seed_without_shots_is_usage_error(self, capsys):
         # exact expectations draw nothing, so a seed would be echoed but never read
         code, out, err = run_cli(

@@ -290,6 +290,12 @@ class TestPureStates:
         with pytest.raises(NotNormalizedError):
             pure_state([1.0, 1.0])
 
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]], ids=["nan", "nan2", "inf"])
+    def test_non_finite_amplitudes_rejected(self, amplitudes):
+        # a NaN norm fails every comparison, so "dev > tol" would let it through
+        with pytest.raises(NotNormalizedError):
+            pure_state(amplitudes)
+
     def test_bell_states_normalized_and_orthogonal(self):
         kinds = ["phi+", "phi-", "psi+", "psi-"]
         states = [bell_state(k) for k in kinds]
@@ -341,3 +347,17 @@ class TestProperties:
         f = fidelity(rho, sigma)
         assert 0.0 <= f <= 1.0
         assert abs(f - fidelity(sigma, rho)) <= 1e-9
+
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(densities(n), densities(n))))
+    def test_stored_spectrum_is_read_only_and_reused_exactly(self, pair):
+        rho, sigma = pair
+        w, v = rho.spectrum
+        assert not w.flags.writeable and not v.flags.writeable
+        assert np.all(np.diff(w) >= 0)
+        assert max_abs_diff((v * w) @ v.conj().T, (rho.matrix + rho.matrix.conj().T) / 2) <= 1e-12
+        bare_rho, bare_sigma = (DensityMatrix(x.matrix, x.dim, x.n_qubits) for x in pair)
+        assert bare_rho.spectrum is None
+        f = fidelity(rho, sigma)
+        assert f == fidelity(bare_rho, bare_sigma) == fidelity(rho, bare_sigma) == fidelity(bare_rho, sigma)
+        assert density_invariants(rho) == density_invariants(bare_rho) == density_invariants(rho.matrix)
