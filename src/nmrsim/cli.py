@@ -240,8 +240,8 @@ def cmd_separability(args) -> tuple[int, dict]:
 
 def cmd_tomography(args) -> tuple[int, dict]:
     rho = validate_density(load_matrix(args.state), _PROFILES[args.profile])
-    if args.shots < 0:
-        raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    if args.shots < 0 or (args.seed or 0) < 0:
+        raise ValueError(f"--shots and --seed must be >= 0, got {args.shots} and {args.seed}")
     if (args.seed is None) != (args.shots == 0):
         raise ValueError("--seed is required when --shots > 0 and not read when --shots is 0")
     if args.shots == 0:

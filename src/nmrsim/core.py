@@ -141,7 +141,7 @@ class DensityInvariants(NamedTuple):
 
 def _as_complex_matrix(m) -> np.ndarray:
     """Copy ``m`` into a finite 2-d complex array; every public matrix check starts here."""
-    a = np.array(m, dtype=complex)
+    a = np.array(m, dtype=complex, order="C")
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
     _require_finite(a)
@@ -161,14 +161,14 @@ def _n_qubits_for(dim: int) -> int:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out.setflags(write=False)
-    return out
+    """Mark ``a`` read-only in place; every caller passes an array no one else holds."""
+    a.setflags(write=False)
+    return a
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |m_jk - conj(m_kj)| over all entries."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -206,7 +206,7 @@ def density_invariants(m) -> DensityInvariants:
     """
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     w, _ = getattr(m, "spectrum", None) or _eigh_or_fail((a + a.conj().T) / 2.0)
-    return DensityInvariants(complex(np.trace(a)), hermiticity_defect(a), float(w[0]))
+    return DensityInvariants(complex(a.trace()), hermiticity_defect(a), float(w[0]))
 
 
 def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
@@ -232,10 +232,13 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     NumericalFailureError
         If ``m`` has a NaN or infinite entry.
     """
-    a = _as_complex_matrix(m)
+    return _checked_density(_as_complex_matrix(m), profile)
+
+
+def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -> DensityMatrix:
+    """:func:`validate_density` of a private finite array; a given ``spectrum`` must be its Hermitian part's."""
     _require_square(a)
-    n = _n_qubits_for(a.shape[0])
-    rho = DensityMatrix(_freeze(a), a.shape[0], n, _eigh_or_fail((a + a.conj().T) / 2.0))
+    rho = DensityMatrix(_freeze(a), len(a), _n_qubits_for(len(a)), spectrum or _eigh_or_fail((a + a.conj().T) / 2.0))
     inv = density_invariants(rho)
     if inv.hermiticity_defect > profile.hermiticity_tol:
         raise NotHermitianError(inv.hermiticity_defect)
@@ -335,7 +338,7 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
 def _sqrt_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     # Eigenvalues below 0 (roundoff on near-PSD data) are clipped to 0 before the root.
     w, v = rho.spectrum or _eigh_or_fail((rho.matrix + rho.matrix.conj().T) / 2.0)
-    return np.sqrt(np.clip(w, 0.0, None)), v
+    return np.sqrt(np.maximum(w, 0.0)), v
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -355,7 +358,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         s = np.linalg.svd(sr[:, None] * (vr.conj().T @ vs) * ss, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value decomposition failed: {exc}") from exc
-    return min(float(np.sum(s) ** 2), 1.0)
+    return min(float(s.sum() ** 2), 1.0)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -13,15 +13,15 @@ eigenvalue is below ``-STRICT.psd_tol``.
 The ``4^n`` Pauli products of each qubit count are built once, on first use,
 into a read-only ``(4^n, d, d)`` stack in canonical label order, and an
 expectation set holds its values as one ``(4^n,)`` array in the same order.
-Every per-label sum is then a single array operation: one ``einsum`` gives all
-expectations, one vectorized binomial draw gives all shot-noise counts, and
-one matmul over the stack flattened to ``(4^n, d*d)`` gives the reconstruction.
+Every per-label sum is then a single array operation over the stack flattened
+to ``(4^n, d*d)``: one matmul gives all expectations, one vectorized binomial
+draw gives all shot-noise counts, and one matmul gives the reconstruction.
 
-Randomness contract: shot noise uses ``numpy.random.default_rng(seed)``
-(the PCG64 generator, stable across platforms).  Each non-identity label, in
-the canonical order produced by :func:`pauli_labels`, consumes exactly one
-binomial draw of ``shots`` trials, so a fixed seed reproduces results
-bit-for-bit.
+Randomness contract: shot noise draws from ``Generator(PCG64(seed))``, the
+stream of ``numpy.random.default_rng(seed)``, stable across platforms.  Each
+non-identity label, in the canonical order produced by :func:`pauli_labels`,
+consumes exactly one binomial draw of ``shots`` trials, so a fixed seed
+reproduces results bit-for-bit.
 """
 
 import itertools
@@ -35,6 +35,7 @@ from nmrsim.core import (
     STRICT,
     DensityMatrix,
     _as_complex_matrix,
+    _checked_density,
     _eigh_or_fail,
     _require_square,
     hermiticity_defect,
@@ -113,9 +114,9 @@ class PauliExpectationSet:
             raise ValueError(f"expected {4**self.n_qubits} expectations, got shape {v.shape}")
         if v[0] != 1.0:
             raise ValueError(f"identity expectation must be exactly 1, got {v[0]}")
-        bad = np.flatnonzero(~(np.abs(v) <= 1.0 + 1e-12))  # NaN fails too
-        if bad.size:
-            k = int(bad[0])
+        ok = np.abs(v) <= 1.0 + 1e-12  # NaN fails too
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
             raise ValueError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -130,22 +131,24 @@ class ShotNoiseConfig:
         s = self.shots_per_observable
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 2**63 - 1:
             raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {s!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     """Noiseless expectations ``tr(rho P)`` for every Pauli product ``P``.
 
-    The identity entry is pinned to 1 (it is the trace by definition); any
-    imaginary residue beyond 1e-12 (or a NaN) on the others is a numerical
-    failure.
+    The identity entry is pinned to 1 (the trace, by definition); an imaginary
+    residue beyond 1e-12 (or a NaN) on the others is a numerical failure.
     """
     if rho.n_qubits > MAX_QUBITS:
         raise ValueError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
-    t = np.einsum("kij,ji->k", _stack(rho.n_qubits), rho.matrix)
-    bad = np.flatnonzero(~(np.abs(t.imag[1:]) <= 1e-12))  # NaN fails too
-    if bad.size:
-        k = int(bad[0]) + 1
-        raise NumericalFailureError(f"expectation {pauli_labels(rho.n_qubits)[k]} has imaginary part {t.imag[k]:.3e}")
+    # each P is exactly Hermitian, so row k of the flattened stack dotted with conj(rho) is conj(tr(rho P_k))
+    t = _stack(rho.n_qubits).reshape(4**rho.n_qubits, -1) @ rho.matrix.conj().reshape(-1)
+    ok = np.abs(t.imag[1:]) <= 1e-12  # NaN fails too
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0]) + 1
+        raise NumericalFailureError(f"expectation {pauli_labels(rho.n_qubits)[k]} has imaginary part {-t.imag[k]:.3e}")
     values = t.real
     values[0] = 1.0
     return PauliExpectationSet(rho.n_qubits, values)
@@ -159,10 +162,12 @@ def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpect
     per observable in canonical label order.  Deterministic for a fixed seed.
     """
     exact = pauli_expectations(rho)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))  # the generator default_rng(seed) builds
     shots = cfg.shots_per_observable
-    ups = rng.binomial(shots, np.clip((1.0 + exact.values[1:]) / 2.0, 0.0, 1.0))
-    return PauliExpectationSet(rho.n_qubits, np.concatenate(([1.0], 2.0 * ups / shots - 1.0)))
+    ups = rng.binomial(shots, np.minimum(np.maximum((1.0 + exact.values[1:]) / 2.0, 0.0), 1.0))
+    values = exact.values.copy()  # values[0] is the pinned identity entry, 1
+    values[1:] = 2.0 * ups / shots - 1.0
+    return PauliExpectationSet(rho.n_qubits, values)
 
 
 def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
@@ -179,6 +184,8 @@ def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
 def simplex_project(v) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
+        raise ValueError(f"simplex projection needs a non-empty finite vector, got {v!r}")
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
@@ -204,7 +211,7 @@ def project_psd(h) -> DensityMatrix:
     herm = hermiticity_defect(a)
     if herm > 1e-9:
         raise NotHermitianError(herm)
-    trace_dev = abs(complex(np.trace(a)) - 1.0)
+    trace_dev = abs(complex(a.trace()) - 1.0)
     if trace_dev > 1e-9:
         raise BadTraceError(trace_dev)
     return _project(*_eigh_or_fail((a + a.conj().T) / 2.0))
@@ -219,10 +226,10 @@ def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
     """
     a = _as_complex_matrix(m)
     _require_square(a)
-    t = complex(np.trace(a)).real
+    t = complex(a.trace()).real
     renormalized = abs(t - 1.0) > 1e-12
     a = a / t
     a = (a + a.conj().T) / 2.0
     w, v = _eigh_or_fail(a)
     projected = bool(w.min() < -STRICT.psd_tol)
-    return (_project(w, v) if projected else validate_density(a, STRICT)), renormalized, projected
+    return (_project(w, v) if projected else _checked_density(a, STRICT, (w, v))), renormalized, projected

@@ -271,6 +271,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("nmrsim: shots must be an integer in [1, 2**63 - 1]")
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # numpy's own error for a negative seed names no flag
+        code, out, err = run_cli(
+            capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", "10", "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("nmrsim: ") and "--seed" in err
+
     def test_seed_without_shots_is_usage_error(self, capsys):
         # exact expectations draw nothing, so a seed would be echoed but never read
         code, out, err = run_cli(

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import densities, max_abs_diff, random_density
@@ -16,7 +16,13 @@ from nmrsim.core import (
     fidelity,
     validate_density,
 )
-from nmrsim.errors import BadTraceError, NotHermitianError, NotSquareError, NumericalFailureError
+from nmrsim.errors import (
+    BadTraceError,
+    DimNotPowerOfTwoError,
+    NotHermitianError,
+    NotSquareError,
+    NumericalFailureError,
+)
 from nmrsim.repro import load_dataset
 from nmrsim.tomography import (
     PauliExpectationSet,
@@ -141,7 +147,7 @@ class TestExpectations:
     def test_imaginary_residue_is_numerical_failure(self):
         # built directly to skip validation: tr(rho Y) = 0.5i, tr(rho X) is real
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(NumericalFailureError, match="expectation Y has imaginary part"):
+        with pytest.raises(NumericalFailureError, match="expectation Y has imaginary part 5.000e-01"):
             pauli_expectations(DensityMatrix(m, 2, 1))
 
     @pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
@@ -245,7 +251,7 @@ class TestShotNoise:
     @pytest.mark.parametrize("shots", [1, 1000, 10**5])
     def test_matches_scalar_draw_oracle(self, n_qubits, shots):
         rng = np.random.default_rng(60 + n_qubits)
-        for seed in (0, 1, 7, 12345, 2**31 - 1):
+        for seed in (0, 1, 7, 12345, 2**31 - 1, np.int64(99), 2**64 + 1):
             rho = random_density(rng, 1 << n_qubits)
             got = by_label(simulate_shot_noise(rho, ShotNoiseConfig(shots, seed)))
             want = oracle_shot_noise(rho, shots, seed)
@@ -260,6 +266,12 @@ class TestShotNoise:
         # numpy would truncate a float, count True as one shot and overflow past 2**63 - 1
         with pytest.raises(ValueError, match="shots must be an integer"):
             ShotNoiseConfig(shots, 1)
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1, "3"], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy would draw a fresh stream for None, count True as seed 1, and raise its own errors for 1.5 and -1
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ShotNoiseConfig(1000, seed)
 
     def test_largest_shot_count_is_drawn(self):
         rho = validate_density(np.eye(2) / 2)
@@ -295,6 +307,14 @@ class TestProjectPsd:
             v = rng.normal(size=d)
             v = v - (v.sum() - 1.0) / d  # keep sums near 1 like real use
             assert max_abs_diff(simplex_project(v), brute_force_simplex(v)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "v", [[], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [[0.5, 0.5]]], ids=["empty", "nan", "inf", "-inf", "2-d"]
+    )
+    def test_simplex_rejects_empty_or_non_finite_input(self, v):
+        # without the check, most of these raise a raw IndexError and [-inf, 1] comes back as [0, 1]
+        with pytest.raises(ValueError, match="non-empty finite vector"):
+            simplex_project(v)
 
     def test_idempotent(self):
         rng = np.random.default_rng(113)
@@ -384,6 +404,22 @@ class TestClosestPhysicalState:
             with pytest.raises(NotSquareError):
                 closest_physical_state(m)
 
+    def test_unprojected_state_is_decomposed_once(self, monkeypatch):
+        m = 2.0 * random_density(np.random.default_rng(17), 8).matrix  # renormalized, not projected
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solver=solver: calls.append(name) or solver(a))
+        state, renorm, projected = closest_physical_state(m)
+        # the decomposition that decides is the strict validation's, and stays with the state for fidelity
+        assert renorm and not projected and calls == ["eigh"]
+        w, v = state.spectrum
+        assert max_abs_diff((v * w) @ v.conj().T, m / 2.0) <= 1e-15
+
+    def test_unprojected_branch_keeps_the_dimension_check(self):
+        with pytest.raises(DimNotPowerOfTwoError):
+            closest_physical_state(np.eye(3) / 3)
+
 
 class TestSpectrumReuse:
     def test_pipeline_decomposes_each_state_once(self, monkeypatch):
@@ -405,6 +441,25 @@ class TestSpectrumReuse:
                 e = simulate_shot_noise(random_density(rng, 1 << n), ShotNoiseConfig(1000, seed))
                 stack = np.stack([pauli_matrix(label) for label in pauli_labels(n)])
                 assert np.array_equal(reconstruct_linear(e), np.tensordot(e.values, stack, 1) / (1 << n))
+
+    @settings(deadline=None)
+    @given(densities(), st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 3e-12]), st.integers(0, 2**32 - 1))
+    def test_matmul_expectations_match_einsum(self, rho, scale, seed):
+        # states Hermitian only to within 2 * sqrt(2) * scale < 1e-11, built directly to skip validation
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, rho.dim, rho.dim))
+        m = rho.matrix + scale * (noise[0] + 1j * noise[1])
+        stack = np.stack([pauli_matrix(label) for label in pauli_labels(rho.n_qubits)])
+        want = np.einsum("kij,ji->k", stack, m)[1:]
+        assume(np.all(np.abs(np.abs(want.imag) - 1e-12) > 1e-15))  # a residue on the threshold may go either way
+        bad = np.flatnonzero(~(np.abs(want.imag) <= 1e-12))
+        state = DensityMatrix(m, rho.dim, rho.n_qubits)
+        if bad.size:
+            label = pauli_labels(rho.n_qubits)[int(bad[0]) + 1]
+            with pytest.raises(NumericalFailureError, match=f"expectation {label} has imaginary part"):
+                pauli_expectations(state)
+        else:
+            got = pauli_expectations(state).values
+            assert got[0] == 1.0 and max_abs_diff(got[1:], want.real) <= 5e-16
 
 
 class TestNoisyPipeline:
