@@ -54,7 +54,6 @@ from nmrsim.repro import (
 from nmrsim.separability import (
     PPTReport,
     critical_epsilon,
-    critical_epsilon_bisection,
     is_separable_2q,
     partial_transpose,
     ppt_first_vs_rest,

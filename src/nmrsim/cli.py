@@ -182,8 +182,7 @@ def cmd_repro(args) -> tuple[int, dict]:
         "fidelity_exp_vs_computed_th": report.fidelity_exp_vs_computed_th,
         "trace_distance_exp_vs_computed_th": report.trace_distance_exp_vs_computed_th,
         "fidelity_computed_vs_printed_th": report.fidelity_computed_vs_printed_th,
-        # MatrixDiagnostics holds scalars only, so vars() gives asdict()'s dict without its deep copies
-        "diagnostics": {k: dict(vars(v)) for k, v in report.diagnostics.items()},
+        "diagnostics": report.diagnostics,
         "baseline_checks": [c._asdict() for c in checks],
         "all_baselines_ok": all_ok,
     }

@@ -4,7 +4,8 @@ States and operators are plain complex ``numpy`` arrays wrapped in thin frozen
 dataclasses whose defining invariants are checked at construction time.  All
 operations are pure functions: inputs are never mutated, wrapped arrays are
 marked read-only, and values can be shared freely between threads.  A state
-from :func:`validate_density` keeps the eigenpairs its validation computed.
+from :func:`validate_density`, or from a projection in ``tomography``, keeps
+the eigenpairs its validation read.
 """
 
 import math
@@ -95,8 +96,8 @@ class DensityMatrix:
     """Ensemble-average quantum state: Hermitian, unit trace, PSD.
 
     Construct through :func:`validate_density` (or one of the helpers that
-    guarantee the invariants structurally); ``matrix`` is read-only.  Only
-    :func:`validate_density` fills ``spectrum``: the read-only eigenpairs
+    guarantee the invariants structurally); ``matrix`` is read-only.
+    Validation and projection fill ``spectrum``: the read-only eigenpairs
     ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending.
     """
 
@@ -140,17 +141,14 @@ class DensityInvariants(NamedTuple):
 
 
 def _as_complex_matrix(m) -> np.ndarray:
-    """Copy ``m`` into a finite 2-d complex array; every public matrix check starts here."""
+    """Copy ``m`` into a finite square complex array; every public matrix check starts here."""
     a = np.array(m, dtype=complex, order="C")
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
     _require_finite(a)
-    return a
-
-
-def _require_square(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    return a
 
 
 def _n_qubits_for(dim: int) -> int:
@@ -236,8 +234,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
 
 
 def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -> DensityMatrix:
-    """:func:`validate_density` of a private finite array; a given ``spectrum`` must be its Hermitian part's."""
-    _require_square(a)
+    """:func:`validate_density` of a private finite square array; a given ``spectrum`` must be its Hermitian part's."""
     rho = DensityMatrix(_freeze(a), len(a), _n_qubits_for(len(a)), spectrum or _eigh_or_fail((a + a.conj().T) / 2.0))
     inv = density_invariants(rho)
     if inv.hermiticity_defect > profile.hermiticity_tol:
@@ -250,23 +247,24 @@ def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -
     return rho
 
 
+def _unitarity(a: np.ndarray, tol: float) -> UnitarityCheck:
+    _require_tolerance(tol, "unitarity tolerance")
+    defect = float(np.max(np.abs(a.conj().T @ a - np.eye(len(a)))))
+    return UnitarityCheck(defect <= tol, defect)
+
+
 def check_unitary(m, tol: float = 1e-10) -> UnitarityCheck:
     """Measure the unitarity defect ``max |m^dag m - I|`` against ``tol``."""
-    _require_tolerance(tol, "unitarity tolerance")
-    a = _as_complex_matrix(m)
-    _require_square(a)
-    defect = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
-    return UnitarityCheck(defect <= tol, defect)
+    return _unitarity(_as_complex_matrix(m), tol)
 
 
 def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
     """Wrap ``m`` as a :class:`UnitaryOperator`, or raise ``NotUnitaryError``."""
     a = _as_complex_matrix(m)
-    _require_square(a)
-    ok, defect = check_unitary(a, tol)
+    ok, defect = _unitarity(a, tol)
     if not ok:
         raise NotUnitaryError(defect)
-    return UnitaryOperator(_freeze(a), a.shape[0])
+    return UnitaryOperator(_freeze(a), len(a))
 
 
 def pure_state(amplitudes) -> PureState:
@@ -336,19 +334,21 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
 
 
 def _sqrt_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    # Eigenvalues below 0 (roundoff on near-PSD data) are clipped to 0 before the root.
+    # Eigenvalues at or below the round-off floor d * eps * w_max are zeroed before the root.
     w, v = rho.spectrum or _eigh_or_fail((rho.matrix + rho.matrix.conj().T) / 2.0)
-    return np.sqrt(np.maximum(w, 0.0)), v
+    return np.sqrt(np.where(w > len(w) * np.finfo(float).eps * w[-1], w, 0.0)), v
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2`` in [0, 1].
 
     Symmetric in its arguments to 1e-9 and equal to 1 iff the states
-    coincide.  For a pure ``sigma`` it reduces to ``tr(rho sigma)``.  The trace
-    is the sum of the singular values of ``sqrt(rho) sqrt(sigma)``; the square
-    roots of the round-off eigenvalues of a rank-deficient inner matrix would
-    be off by about 1e-8, and differently for each argument order.
+    coincide.  For a pure ``sigma`` it reduces to ``tr(rho sigma)`` to 1e-12.
+    The trace is the sum of the singular values of ``sqrt(rho) sqrt(sigma)``;
+    the square roots of the round-off eigenvalues of a rank-deficient inner
+    matrix would be off by about 1e-8, and differently for each argument order.
+    For the same reason each state's eigenvalues at or below the round-off
+    floor ``d * eps * w_max`` count as 0 (eps the float64 machine epsilon).
     """
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")

@@ -47,10 +47,10 @@ class EnsembleHistory:
         if not members:
             raise ValueError("a history needs at least one member")
         for w, _ in members:
-            if w <= 0.0:
+            if not w > 0.0:  # NaN fails too
                 raise ValueError(f"member weight {w} must be positive")
         total = sum(w for w, _ in members)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise NotNormalizedError(abs(total - 1.0), what="history weights")
         dims = {psi.dim for _, psi in members}
         if len(dims) != 1:

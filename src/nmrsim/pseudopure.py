@@ -46,8 +46,8 @@ class PopulationVector:
         c = np.array(self.counts, dtype=float).reshape(-1)
         if c.size == 0:
             raise ValueError("population vector must not be empty")
-        if (c < 0.0).any():
-            raise ValueError(f"populations must be nonnegative, got min {c.min()}")
+        if not ((0.0 <= c) & (c < np.inf)).all():  # NaN fails too
+            raise ValueError(f"populations must be finite and nonnegative, got {c}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 

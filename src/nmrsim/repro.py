@@ -43,7 +43,6 @@ from nmrsim.tomography import closest_physical_state
 
 __all__ = [
     "ExperimentDataset",
-    "MatrixDiagnostics",
     "ReproReport",
     "BaselineCheck",
     "load_dataset",
@@ -62,18 +61,6 @@ class ExperimentDataset:
     rho_exp_after: np.ndarray
     rho_th_printed: np.ndarray
     notes: str
-
-
-@dataclass(frozen=True)
-class MatrixDiagnostics:
-    """Experimental-profile validation readout for one embedded matrix."""
-
-    trace_real: float
-    trace_deviation: float
-    hermiticity_defect: float
-    min_eigenvalue: float
-    trace_renormalized: bool = False
-    psd_projected: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,16 +145,17 @@ def load_baselines(path=None) -> dict:
     return obj
 
 
-def _diagnose(m, renormalized: bool = False, projected: bool = False) -> MatrixDiagnostics:
+def _diagnose(m, renormalized: bool = False, projected: bool = False) -> dict:
+    """Experimental-profile validation readout for one embedded matrix."""
     inv = density_invariants(m)
-    return MatrixDiagnostics(
-        trace_real=float(inv.trace.real),
-        trace_deviation=float(abs(inv.trace - 1.0)),
-        hermiticity_defect=inv.hermiticity_defect,
-        min_eigenvalue=inv.min_eigenvalue,
-        trace_renormalized=renormalized,
-        psd_projected=projected,
-    )
+    return {
+        "trace_real": float(inv.trace.real),
+        "trace_deviation": float(abs(inv.trace - 1.0)),
+        "hermiticity_defect": inv.hermiticity_defect,
+        "min_eigenvalue": inv.min_eigenvalue,
+        "trace_renormalized": renormalized,
+        "psd_projected": projected,
+    }
 
 
 def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:

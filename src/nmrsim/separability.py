@@ -13,7 +13,7 @@ import numpy as np
 
 from nmrsim.core import DensityMatrix, _eigvalsh_or_fail, _require_tolerance
 from nmrsim.errors import WrongDimError
-from nmrsim.pseudopure import _require_pure, compose_pseudopure
+from nmrsim.pseudopure import _require_pure
 
 __all__ = [
     "DEFAULT_PPT_TOL",
@@ -22,7 +22,6 @@ __all__ = [
     "is_separable_2q",
     "ppt_first_vs_rest",
     "critical_epsilon",
-    "critical_epsilon_bisection",
 ]
 
 DEFAULT_PPT_TOL = 1e-10
@@ -88,29 +87,3 @@ def critical_epsilon(rho1: DensityMatrix) -> float:
     lam_min = float(_eigvalsh_or_fail(partial_transpose(rho1, 1)).min())
     return min(1.0, 1.0 / (1.0 - rho1.dim * lam_min))
 
-
-def critical_epsilon_bisection(rho1: DensityMatrix, tol: float = 1e-10, ppt_tol: float = 1e-12) -> float:
-    """Independent threshold estimate: bisection over the PPT verdict.
-
-    Deliberately avoids the closed form above so the two routes cross-check
-    each other.
-    """
-    if rho1.dim != 4:
-        raise WrongDimError(f"critical coefficient is defined for 2 qubits, got dim {rho1.dim}")
-    _require_pure(rho1)
-
-    def ppt(eps: float) -> bool:
-        return is_separable_2q(compose_pseudopure(eps, rho1), ppt_tol).is_ppt
-
-    if ppt(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):  # lo and hi are adjacent floats
-            break
-        if ppt(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

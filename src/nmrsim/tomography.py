@@ -4,7 +4,9 @@ The pipeline is: measure (or simulate with shot noise) all ``4^n``
 expectation values ``<P> = tr(rho P)``, reconstruct by linear inversion
 ``rho = (1/d) sum_P <P> P``, then project the possibly unphysical result to
 the closest unit-trace PSD matrix (Frobenius norm), which reduces to
-projecting the eigenvalue vector onto the probability simplex.
+projecting the eigenvalue vector onto the probability simplex.  The projected
+state keeps the eigenpairs it was built from as its ``spectrum``, so neither
+its validation nor a later ``fidelity`` decomposes it again.
 
 :func:`closest_physical_state` ends in the same projection, after making a
 printed or derived matrix Hermitian with unit trace, and only if an
@@ -37,10 +39,9 @@ from nmrsim.core import (
     _as_complex_matrix,
     _checked_density,
     _eigh_or_fail,
-    _require_square,
+    _freeze,
     hermiticity_defect,
     tensor,
-    validate_density,
 )
 from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError
 
@@ -195,8 +196,9 @@ def simplex_project(v) -> np.ndarray:
 
 
 def _project(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
-    """Reassemble eigenpairs ``(w, v)`` with ``w`` projected onto the simplex."""
-    return validate_density((v * simplex_project(w)) @ v.conj().T, STRICT)
+    """Reassemble eigenpairs ``(w, v)``, ``w`` projected onto the simplex (monotone, so still ascending)."""
+    p = _freeze(simplex_project(w))
+    return _checked_density((v * p) @ v.conj().T, STRICT, (p, v))
 
 
 def project_psd(h) -> DensityMatrix:
@@ -207,7 +209,6 @@ def project_psd(h) -> DensityMatrix:
     within 1e-9.
     """
     a = _as_complex_matrix(h)
-    _require_square(a)
     herm = hermiticity_defect(a)
     if herm > 1e-9:
         raise NotHermitianError(herm)
@@ -225,7 +226,6 @@ def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
     was below ``-STRICT.psd_tol``, so round-off on a zero eigenvalue is left as is.
     """
     a = _as_complex_matrix(m)
-    _require_square(a)
     t = complex(a.trace()).real
     renormalized = abs(t - 1.0) > 1e-12
     a = a / t

@@ -13,6 +13,8 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
+from nmrsim.pseudopure import compose_pseudopure
+from nmrsim.separability import is_separable_2q
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> PureState:
@@ -77,3 +79,20 @@ def unitaries(draw, n_qubits: int):
     d = 1 << n_qubits
     q, _ = np.linalg.qr(_complex_block(draw, d, d))
     return validate_unitary(q)
+
+
+def critical_epsilon_bisection(rho1: DensityMatrix, tol: float = 1e-10, ppt_tol: float = 1e-12) -> float:
+    """Oracle for ``critical_epsilon``: bisection over the PPT verdict, never the closed form.
+
+    ``compose_pseudopure`` requires a pure target and ``is_separable_2q`` a 2-qubit one.
+    """
+
+    def ppt(eps: float) -> bool:
+        return is_separable_2q(compose_pseudopure(eps, rho1), ppt_tol).is_ppt
+
+    if ppt(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol and lo < (mid := (lo + hi) / 2.0) < hi:  # stop once lo and hi are adjacent floats
+        lo, hi = (mid, hi) if ppt(mid) else (lo, mid)
+    return lo

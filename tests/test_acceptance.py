@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import max_abs_diff, random_density, random_pure, random_unitary
+from helpers import critical_epsilon_bisection, max_abs_diff, random_density, random_pure, random_unitary
 from nmrsim.core import (
     STRICT,
     basis_state,
@@ -24,7 +24,7 @@ from nmrsim.core import (
 from nmrsim.ensemble import density_of, entanglement_report, history_from_dict
 from nmrsim.pseudopure import PopulationVector, compose_pseudopure, extract_epsilon, net_signal
 from nmrsim.repro import check_against_baselines, load_baselines, load_dataset, reproduce_theory
-from nmrsim.separability import critical_epsilon, critical_epsilon_bisection, is_separable_2q
+from nmrsim.separability import critical_epsilon, is_separable_2q
 from nmrsim.serialize import load_json
 from nmrsim.tomography import (
     ShotNoiseConfig,

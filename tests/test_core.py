@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import densities, max_abs_diff, random_density, random_pure, random_unitary, unitaries
+from helpers import densities, max_abs_diff, pure_densities, random_density, random_pure, random_unitary, unitaries
 from nmrsim.core import (
     EXPERIMENTAL,
     PAULI_1Q,
@@ -36,6 +36,7 @@ from nmrsim.errors import (
     NumericalFailureError,
 )
 from nmrsim.repro import load_dataset
+from nmrsim.tomography import ShotNoiseConfig, project_psd, reconstruct_linear, simulate_shot_noise
 
 
 class TestValidateDensity:
@@ -347,6 +348,21 @@ class TestProperties:
         f = fidelity(rho, sigma)
         assert 0.0 <= f <= 1.0
         assert abs(f - fidelity(sigma, rho)) <= 1e-9
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(pure_densities(n), densities(n))),
+        st.sampled_from([3, 1000]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fidelity_with_a_pure_state_is_its_expectation(self, pair, shots, seed):
+        # a pure state's round-off eigenvalues (about 1e-16) have roots of about 1e-8; they must not count
+        sigma, rho = pair
+        noisy = project_psd(reconstruct_linear(simulate_shot_noise(sigma, ShotNoiseConfig(shots, seed))))
+        for state in (rho, noisy):
+            want = np.vdot(sigma.matrix, state.matrix).real  # tr(sigma state) = <psi|state|psi>
+            assert abs(fidelity(sigma, state) - want) <= 1e-12
+            assert abs(fidelity(state, sigma) - want) <= 1e-12
 
     @settings(deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(densities(n), densities(n))))

@@ -143,6 +143,19 @@ class TestHistoryValidation:
         with pytest.raises(ValueError):
             EnsembleHistory("bad", ((1.5, basis_state(2, 0)), (-0.5, basis_state(2, 1))))
 
+    @pytest.mark.parametrize(
+        "weights", [(float("nan"),), (float("nan"), 1.0), (1.0, float("nan"))], ids=["alone", "first", "second"]
+    )
+    def test_nan_weight_rejected(self, weights):
+        # both comparisons are false for NaN, so a NaN weight once reached entanglement_report
+        members = tuple((w, basis_state(2, i)) for i, w in enumerate(weights))
+        with pytest.raises(ValueError, match="must be positive"):
+            EnsembleHistory("bad", members)
+
+    def test_infinite_weight_is_not_normalized(self):
+        with pytest.raises(NotNormalizedError):
+            EnsembleHistory("bad", ((float("inf"), basis_state(2, 0)), (1.0, basis_state(2, 1))))
+
     def test_members_same_dim(self):
         with pytest.raises(DimMismatchError):
             EnsembleHistory("bad", ((0.5, basis_state(1, 0)), (0.5, basis_state(2, 0))))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_abs_diff, pure_densities, random_pure, random_unitary
+from helpers import critical_epsilon_bisection, max_abs_diff, pure_densities, random_pure, random_unitary
 from nmrsim.core import STRICT, DensityMatrix, basis_state, bell_state, density_from_pure, evolve, validate_density
 from nmrsim.errors import (
     DimMismatchError,
@@ -16,7 +16,6 @@ from nmrsim.pseudopure import (
     extract_epsilon,
     net_signal,
 )
-from nmrsim.separability import critical_epsilon_bisection
 
 
 @pytest.mark.parametrize(
@@ -159,3 +158,9 @@ class TestPopulationVector:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             PopulationVector(np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        # a NaN or infinite count would reach net_signal as a NaN or infinite signal
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PopulationVector(np.array([bad, 3.0]))

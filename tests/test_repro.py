@@ -148,17 +148,17 @@ class TestReproduceTheory:
 
     def test_diagnostics_record_psd_projection(self):
         report = reproduce_theory()
-        assert report.diagnostics["rho_exp_after"].psd_projected
-        assert report.diagnostics["rho_exp_after"].trace_renormalized
-        assert report.diagnostics["computed_rho_th"].psd_projected
-        assert not report.diagnostics["computed_rho_th"].trace_renormalized
+        assert report.diagnostics["rho_exp_after"]["psd_projected"]
+        assert report.diagnostics["rho_exp_after"]["trace_renormalized"]
+        assert report.diagnostics["computed_rho_th"]["psd_projected"]
+        assert not report.diagnostics["computed_rho_th"]["trace_renormalized"]
 
     def test_diagnostics_record_printed_prediction_handling(self):
         # the printed prediction (trace 1.0001, min eigenvalue -0.0077) is
         # renormalized and projected before its informational fidelity
         printed = reproduce_theory().diagnostics["rho_th_printed"]
-        assert printed.trace_renormalized and printed.psd_projected
-        assert printed.trace_deviation > 1e-12 and printed.min_eigenvalue < 0.0
+        assert printed["trace_renormalized"] and printed["psd_projected"]
+        assert printed["trace_deviation"] > 1e-12 and printed["min_eigenvalue"] < 0.0
 
     def test_metric_bounds(self):
         report = reproduce_theory()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import densities, max_abs_diff, random_density, random_pure
+from helpers import critical_epsilon_bisection, densities, max_abs_diff, random_density, random_pure
 from nmrsim.core import (
     STRICT,
     DensityMatrix,
@@ -18,7 +18,6 @@ from nmrsim.errors import NotPureError, NumericalFailureError, WrongDimError
 from nmrsim.pseudopure import compose_pseudopure
 from nmrsim.separability import (
     critical_epsilon,
-    critical_epsilon_bisection,
     is_separable_2q,
     partial_transpose,
     ppt_first_vs_rest,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from functools import reduce
 
@@ -23,7 +24,7 @@ from nmrsim.errors import (
     NotSquareError,
     NumericalFailureError,
 )
-from nmrsim.repro import load_dataset
+from nmrsim.repro import load_dataset, reproduce_theory
 from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
@@ -395,9 +396,9 @@ class TestClosestPhysicalState:
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, name=name, solver=solver: calls.append(name) or solver(a))
         _, _, projected = closest_physical_state(load_dataset().rho_exp_after)
-        # one decomposition decides and projects; the strict validation of the result decomposes it
-        # once more, and that decomposition stays with the state for fidelity
-        assert projected and calls == ["eigh", "eigh"]
+        # one decomposition decides and projects; the state keeps the projected eigenpairs for its
+        # strict validation and for fidelity
+        assert projected and calls == ["eigh"]
 
     def test_rejects_non_square_input(self):
         for m in (np.ones((2, 3)) / 2, np.ones(4) / 4):
@@ -431,8 +432,20 @@ class TestSpectrumReuse:
             counted = lambda *a, name=name, solver=solver, **kw: calls.append(name) or solver(*a, **kw)  # noqa: E731
             monkeypatch.setattr(np.linalg, name, counted)
         fidelity(project_psd(recon), rho)
-        # project_psd decomposes once and its strict validation once more; fidelity reads both stored spectra
-        assert sorted(calls) == ["eigh", "eigh", "svd"]
+        # project_psd decomposes once and keeps the projected eigenpairs; fidelity reads both stored spectra
+        assert sorted(calls) == ["eigh", "svd"]
+
+    def test_reproduce_theory_solver_counts(self, monkeypatch):
+        load_dataset()  # cached after the first call
+        calls = collections.Counter()
+        for name in ("eigh", "eigvalsh", "svd"):
+            solver = getattr(np.linalg, name)
+            counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
+            monkeypatch.setattr(np.linalg, name, counted)
+        reproduce_theory()
+        # eigh: three experimental validations, three closest-physical decisions whose projections keep
+        # their eigenpairs, and the computed state's diagnostics; eigvalsh: trace distance; svd: two fidelities
+        assert calls == {"eigh": 7, "eigvalsh": 1, "svd": 2}
 
     def test_matmul_reconstruction_matches_tensordot(self):
         rng = np.random.default_rng(11)
@@ -485,6 +498,20 @@ class TestProperties:
         values = pauli_expectations(rho).values
         assert values.dtype == np.float64 and values.shape == (4**rho.n_qubits,)
         assert np.all(np.abs(values) <= 1.0 + 1e-12)
+
+    @settings(deadline=None)
+    @given(densities(), st.sampled_from([0.0, 1e-3, 0.1, 1.0]), st.integers(0, 2**32 - 1))
+    def test_projected_state_keeps_the_spectrum_it_was_built_from(self, rho, scale, seed):
+        g = np.random.default_rng(seed).normal(size=(2, rho.dim, rho.dim))
+        noise = scale * (g[0] + 1j * g[1] + g[0].T - 1j * g[1].T) / 2.0
+        h = rho.matrix + noise - np.trace(noise).real / rho.dim * np.eye(rho.dim)  # Hermitian, trace 1
+        closest, _, projected = closest_physical_state(h)
+        for state, floor in ((project_psd(h), 0.0), (closest, 0.0 if projected else -STRICT.psd_tol)):
+            w, v = state.spectrum
+            assert not w.flags.writeable and not v.flags.writeable
+            assert np.all(np.diff(w) >= 0.0) and w[0] >= floor
+            assert max_abs_diff((v * w) @ v.conj().T, state.matrix) <= 1e-12
+            assert np.linalg.eigvalsh(state.matrix).min() >= min(floor, -1e-12)
 
     @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
     def test_simplex_projection_is_idempotent(self, v):
