@@ -73,7 +73,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _matrix_lines(m: np.ndarray, indent: str = "  ") -> list[str]:
-    return [indent + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m, dtype=complex)]
+    return [indent + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m, dtype=complex).tolist()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,12 +177,7 @@ def cmd_repro(args) -> tuple[int, dict]:
         repro.export_dataset(args.export)
     return EXIT_OK if all_ok else EXIT_MISMATCH, {
         "command": "repro",
-        "computed_rho_th": report.computed_rho_th,
-        "max_dev_vs_printed_th": report.max_dev_vs_printed_th,
-        "fidelity_exp_vs_computed_th": report.fidelity_exp_vs_computed_th,
-        "trace_distance_exp_vs_computed_th": report.trace_distance_exp_vs_computed_th,
-        "fidelity_computed_vs_printed_th": report.fidelity_computed_vs_printed_th,
-        "diagnostics": report.diagnostics,
+        **vars(report),
         "baseline_checks": [c._asdict() for c in checks],
         "all_baselines_ok": all_ok,
     }
@@ -251,7 +246,7 @@ def cmd_tomography(args) -> tuple[int, dict]:
     state = project_psd(recon)
     # Experimental-profile inputs may be slightly unphysical; measure
     # fidelity against their closest physical state.
-    target, _, _ = closest_physical_state(rho.matrix)
+    target, _, _ = closest_physical_state(rho)
     return EXIT_OK, {
         "command": "tomography",
         "n_qubits": rho.n_qubits,

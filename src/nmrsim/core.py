@@ -3,9 +3,9 @@
 States and operators are plain complex ``numpy`` arrays wrapped in thin frozen
 dataclasses whose defining invariants are checked at construction time.  All
 operations are pure functions: inputs are never mutated, wrapped arrays are
-marked read-only, and values can be shared freely between threads.  A state
-from :func:`validate_density`, or from a projection in ``tomography``, keeps
-the eigenpairs its validation read.
+marked read-only, and values can be shared freely between threads.  Every
+eigen-solve in the package goes through ``_eigh`` or ``_eigvalsh`` here, on
+the Hermitian part of a matrix; ``_eigh`` returns a state's stored eigenpairs.
 """
 
 import math
@@ -98,7 +98,8 @@ class DensityMatrix:
     Construct through :func:`validate_density` (or one of the helpers that
     guarantee the invariants structurally); ``matrix`` is read-only.
     Validation and projection fill ``spectrum``: the read-only eigenpairs
-    ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending.
+    ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending, which
+    ``density_invariants``, ``fidelity`` and ``closest_physical_state`` reuse.
     """
 
     matrix: np.ndarray
@@ -170,30 +171,37 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def _require_finite(m: np.ndarray) -> None:
-    # eigh/eigvalsh read one triangle only, so a NaN in the other one would
-    # otherwise pass silently, and a NaN they do read raises LinAlgError.
     if not np.isfinite(m).all():
         raise NumericalFailureError("matrix has a non-finite entry; its eigenvalues are undefined")
 
 
-def _eigh_or_fail(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs ``(w, v)`` of a Hermitian ``m``, ``w`` ascending."""
-    _require_finite(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(a + a^dag) / 2``, the matrix every eigen-solve reads."""
+    return (a + a.conj().T) / 2.0
 
 
-def _eigvalsh_or_fail(m: np.ndarray) -> np.ndarray:
-    _require_finite(m)
+def _lapack(solver, a: np.ndarray, **kw):
+    """``solver(a, **kw)`` on a finite ``a``; a non-finite one or a LAPACK failure is a ``NumericalFailureError``."""
+    _require_finite(a)
     try:
-        return np.linalg.eigvalsh(m)
+        return solver(a, **kw)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
+        raise NumericalFailureError(f"{solver.__name__} failed: {exc}") from exc
+
+
+def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs ``(w, v)``, ``w`` ascending, of an array's Hermitian part, or a state's stored ``spectrum``."""
+    if isinstance(m, DensityMatrix):
+        if m.spectrum is not None:
+            return m.spectrum
+        m = m.matrix
+    w, v = _lapack(np.linalg.eigh, _hermitian_part(m))
+    return _freeze(w), _freeze(v)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an array's Hermitian part."""
+    return _lapack(np.linalg.eigvalsh, _hermitian_part(a))
 
 
 def density_invariants(m) -> DensityInvariants:
@@ -203,7 +211,7 @@ def density_invariants(m) -> DensityInvariants:
     cannot skew the PSD judgement; a validated state's ``spectrum`` is reused.
     """
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
-    w, _ = getattr(m, "spectrum", None) or _eigh_or_fail((a + a.conj().T) / 2.0)
+    w, _ = _eigh(m if isinstance(m, DensityMatrix) else a)
     return DensityInvariants(complex(a.trace()), hermiticity_defect(a), float(w[0]))
 
 
@@ -235,7 +243,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
 
 def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -> DensityMatrix:
     """:func:`validate_density` of a private finite square array; a given ``spectrum`` must be its Hermitian part's."""
-    rho = DensityMatrix(_freeze(a), len(a), _n_qubits_for(len(a)), spectrum or _eigh_or_fail((a + a.conj().T) / 2.0))
+    rho = DensityMatrix(_freeze(a), len(a), _n_qubits_for(len(a)), spectrum or _eigh(a))
     inv = density_invariants(rho)
     if inv.hermiticity_defect > profile.hermiticity_tol:
         raise NotHermitianError(inv.hermiticity_defect)
@@ -335,7 +343,7 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
 
 def _sqrt_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     # Eigenvalues at or below the round-off floor d * eps * w_max are zeroed before the root.
-    w, v = rho.spectrum or _eigh_or_fail((rho.matrix + rho.matrix.conj().T) / 2.0)
+    w, v = _eigh(rho)
     return np.sqrt(np.where(w > len(w) * np.finfo(float).eps * w[-1], w, 0.0)), v
 
 
@@ -354,10 +362,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
     sr, vr = _sqrt_eig(rho)
     ss, vs = _sqrt_eig(sigma)
-    try:
-        s = np.linalg.svd(sr[:, None] * (vr.conj().T @ vs) * ss, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"singular value decomposition failed: {exc}") from exc
+    s = _lapack(np.linalg.svd, sr[:, None] * (vr.conj().T @ vs) * ss, compute_uv=False)
     return min(float(s.sum() ** 2), 1.0)
 
 
@@ -365,7 +370,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of ``rho - sigma``; in [0, 1]."""
     if rho.dim != sigma.dim:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
-    w = _eigvalsh_or_fail(rho.matrix - sigma.matrix)
+    w = _eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(w)))
 
 

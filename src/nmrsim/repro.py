@@ -117,8 +117,8 @@ _CHECKED = ("max_dev_vs_printed_th", "fidelity_exp_vs_computed_th", "trace_dista
 def _baseline_numbers(obj, where) -> tuple[dict, dict, float | None]:
     """The checked values, tolerances and optional ceiling of a baselines document.
 
-    Every checked value and tolerance, and ``documented_ceiling_max_dev``
-    when present, must be a finite number; anything else is a ``ParseError``.
+    Every checked value and tolerance, and ``documented_ceiling_max_dev`` when present, must be a
+    finite number, the tolerances and ceiling nonnegative; anything else is a ``ParseError``.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: baselines document must be a JSON object")
@@ -134,6 +134,8 @@ def _baseline_numbers(obj, where) -> tuple[dict, dict, float | None]:
     ceiling = obj.get("documented_ceiling_max_dev")
     if ceiling is not None:
         ceiling = require_number(ceiling, "documented_ceiling_max_dev")
+    if min(*tables[1].values(), ceiling or 0.0) < 0.0:
+        raise ParseError(f"{where}: tolerances and documented_ceiling_max_dev must be nonnegative")
     return tables[0], tables[1], ceiling
 
 
@@ -145,9 +147,9 @@ def load_baselines(path=None) -> dict:
     return obj
 
 
-def _diagnose(m, renormalized: bool = False, projected: bool = False) -> dict:
-    """Experimental-profile validation readout for one embedded matrix."""
-    inv = density_invariants(m)
+def _diagnose(rho, renormalized: bool = False, projected: bool = False) -> dict:
+    """Experimental-profile validation readout for one state."""
+    inv = density_invariants(rho)
     return {
         "trace_real": float(inv.trace.real),
         "trace_deviation": float(abs(inv.trace - 1.0)),
@@ -169,17 +171,16 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
     """
     if ds is None:
         ds = load_dataset()
-    # any validation failure is a data-entry bug
+    # any validation failure is a data-entry bug; each state's eigenpairs serve all that follows
     rho_initial = validate_density(ds.rho_initial, EXPERIMENTAL)
     exp_after = validate_density(ds.rho_exp_after, EXPERIMENTAL)
     printed = validate_density(ds.rho_th_printed, EXPERIMENTAL)
+    computed = validate_density(evolve(rho_initial, ds.c_corrected).matrix, EXPERIMENTAL)
+    max_dev = float(np.max(np.abs(computed.matrix - ds.rho_th_printed)))
 
-    computed = evolve(rho_initial, ds.c_corrected).matrix
-    max_dev = float(np.max(np.abs(computed - ds.rho_th_printed)))
-
-    exp_state, exp_renorm, exp_proj = closest_physical_state(ds.rho_exp_after)
+    exp_state, exp_renorm, exp_proj = closest_physical_state(exp_after)
     th_state, th_renorm, th_proj = closest_physical_state(computed)
-    printed_state, printed_renorm, printed_proj = closest_physical_state(ds.rho_th_printed)
+    printed_state, printed_renorm, printed_proj = closest_physical_state(printed)
 
     diagnostics = {
         "rho_initial": _diagnose(rho_initial),
@@ -188,7 +189,7 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
         "computed_rho_th": _diagnose(computed, th_renorm, th_proj),
     }
     return ReproReport(
-        computed_rho_th=computed,
+        computed_rho_th=computed.matrix,
         max_dev_vs_printed_th=max_dev,
         fidelity_exp_vs_computed_th=fidelity(exp_state, th_state),
         trace_distance_exp_vs_computed_th=trace_distance(exp_state, th_state),

@@ -1,17 +1,17 @@
 """Partial transpose, PPT testing, and the critical pseudo-pure coefficient.
 
 One kernel, :func:`partial_transpose`, transposes any chosen qubit of a 2- or
-3-qubit state; every PPT test here is that transpose followed by a minimum
-eigenvalue.  For two qubits positivity of the partial transpose is necessary
-and sufficient for separability (Horodecki); for three qubits it is only
-necessary, and this module says so explicitly rather than overclaiming.
+3-qubit state; every PPT test here reads the minimum eigenvalue of its
+Hermitian part.  For two qubits positivity of the partial transpose is
+necessary and sufficient for separability (Horodecki); for three qubits it is
+only necessary, and this module says so explicitly rather than overclaiming.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from nmrsim.core import DensityMatrix, _eigvalsh_or_fail, _require_tolerance
+from nmrsim.core import DensityMatrix, _eigvalsh, _require_tolerance
 from nmrsim.errors import WrongDimError
 from nmrsim.pseudopure import _require_pure
 
@@ -54,7 +54,7 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
 
 def _ppt_report(transposed: np.ndarray, tol: float) -> PPTReport:
     _require_tolerance(tol, "PPT tolerance")
-    lam_min = float(_eigvalsh_or_fail((transposed + transposed.conj().T) / 2.0).min())
+    lam_min = float(_eigvalsh(transposed).min())
     return PPTReport(lam_min, lam_min >= -tol, tol)
 
 
@@ -84,6 +84,6 @@ def critical_epsilon(rho1: DensityMatrix) -> float:
     if rho1.dim != 4:
         raise WrongDimError(f"critical coefficient is defined for 2 qubits, got dim {rho1.dim}")
     _require_pure(rho1)
-    lam_min = float(_eigvalsh_or_fail(partial_transpose(rho1, 1)).min())
+    lam_min = float(_eigvalsh(partial_transpose(rho1, 1)).min())
     return min(1.0, 1.0 / (1.0 - rho1.dim * lam_min))
 

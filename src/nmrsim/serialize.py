@@ -22,8 +22,8 @@ def matrix_to_dict(m) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": [[float(x) for x in row] for row in a.real],
-        "im": [[float(x) for x in row] for row in a.imag],
+        "re": a.real.tolist(),
+        "im": a.imag.tolist(),
     }
 
 

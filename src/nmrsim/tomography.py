@@ -6,11 +6,12 @@ expectation values ``<P> = tr(rho P)``, reconstruct by linear inversion
 the closest unit-trace PSD matrix (Frobenius norm), which reduces to
 projecting the eigenvalue vector onto the probability simplex.  The projected
 state keeps the eigenpairs it was built from as its ``spectrum``, so neither
-its validation nor a later ``fidelity`` decomposes it again.
+its validation nor a later ``fidelity`` decomposes it again.  Every
+eigen-solve here goes through ``core._eigh``.
 
-:func:`closest_physical_state` ends in the same projection, after making a
-printed or derived matrix Hermitian with unit trace, and only if an
-eigenvalue is below ``-STRICT.psd_tol``.
+:func:`closest_physical_state` ends in the same projection, after scaling the
+eigenpairs of a matrix's Hermitian part, or of a validated state, to unit
+trace, and only if an eigenvalue is below ``-STRICT.psd_tol``.
 
 The ``4^n`` Pauli products of each qubit count are built once, on first use,
 into a read-only ``(4^n, d, d)`` stack in canonical label order, and an
@@ -38,8 +39,9 @@ from nmrsim.core import (
     DensityMatrix,
     _as_complex_matrix,
     _checked_density,
-    _eigh_or_fail,
+    _eigh,
     _freeze,
+    _hermitian_part,
     hermiticity_defect,
     tensor,
 )
@@ -215,21 +217,23 @@ def project_psd(h) -> DensityMatrix:
     trace_dev = abs(complex(a.trace()) - 1.0)
     if trace_dev > 1e-9:
         raise BadTraceError(trace_dev)
-    return _project(*_eigh_or_fail((a + a.conj().T) / 2.0))
+    return _project(*_eigh(a))
 
 
-def closest_physical_state(m: np.ndarray) -> tuple[DensityMatrix, bool, bool]:
-    """Make a printed/derived matrix metric-ready: renormalize trace, project.
+def closest_physical_state(m) -> tuple[DensityMatrix, bool, bool]:
+    """Make a printed/derived matrix or a state metric-ready: renormalize trace, project.
 
-    Returns the strict-valid state plus flags recording what was done: the
-    trace was renormalized, and the eigenvalues were projected because one
-    was below ``-STRICT.psd_tol``, so round-off on a zero eigenvalue is left as is.
+    Divides the eigenvalues of the Hermitian part of ``m``, or a state's stored
+    ones, by the trace, which must be positive, so a validated state and its
+    matrix agree bit for bit.  Flags: the trace was renormalized; an
+    eigenvalue was below ``-STRICT.psd_tol``, so the eigenvalues were projected.
     """
-    a = _as_complex_matrix(m)
+    a = m.matrix if isinstance(m, DensityMatrix) else _as_complex_matrix(m)
     t = complex(a.trace()).real
-    renormalized = abs(t - 1.0) > 1e-12
-    a = a / t
-    a = (a + a.conj().T) / 2.0
-    w, v = _eigh_or_fail(a)
-    projected = bool(w.min() < -STRICT.psd_tol)
-    return (_project(w, v) if projected else _checked_density(a, STRICT, (w, v))), renormalized, projected
+    if not 0.0 < t < np.inf:
+        raise BadTraceError(abs(t - 1.0))
+    w, v = _eigh(m if isinstance(m, DensityMatrix) else a)
+    w = _freeze(w / t)
+    projected = bool(w[0] < -STRICT.psd_tol)
+    state = _project(w, v) if projected else _checked_density(_hermitian_part(a) / t, STRICT, (w, v))
+    return state, abs(t - 1.0) > 1e-12, projected

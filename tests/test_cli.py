@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -7,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nmrsim.cli import build_parser, main
+from nmrsim.cli import _fmt_complex, _matrix_lines, build_parser, main
 from nmrsim.repro import reproduce_theory
 from nmrsim.separability import DEFAULT_PPT_TOL
-from nmrsim.serialize import load_matrix, save_matrix
+from nmrsim.serialize import load_matrix, matrix_to_dict, save_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -312,6 +316,19 @@ class TestExitCodes:
         assert err.startswith("nmrsim: ")
 
     @pytest.mark.parametrize(
+        "table, name", [("tolerances", "fidelity_exp_vs_computed_th"), (None, "documented_ceiling_max_dev")]
+    )
+    def test_negative_tolerance_or_ceiling_is_parse_error(self, capsys, tmp_path, table, name):
+        # no deviation can be below a negative limit, so either one read as drift: [FAIL] and exit 2
+        doc = json.loads(Path(data_path("baselines.json")).read_text())
+        (doc[table] if table else doc)[name] = -1e-9
+        path = tmp_path / "baselines.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "repro", "--baselines", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("nmrsim: cannot parse input: ") and "must be nonnegative" in err
+
+    @pytest.mark.parametrize(
         "doc",
         [
             "5",
@@ -463,15 +480,66 @@ def readme_commands() -> list[list[str]]:
     return [words[1:] for words in lines if words[:1] == ["nmrsim"]]
 
 
+def bundled(argv: list[str]) -> list[str]:
+    """``argv`` with README's checkout paths read from the installed data directory."""
+    prefix = "src/nmrsim/data/"
+    return [data_path(a[len(prefix):]) if a.startswith(prefix) else a for a in argv]
+
+
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     # the README runs from a checkout; here bundled inputs come from the
     # installed data directory and written files land in a scratch cwd
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
     assert {argv[0] for argv in commands} == {"repro", "evolve", "separability", "tomography", "ensemble"}
-    prefix = "src/nmrsim/data/"
-    for argv in commands:
-        argv = [data_path(a[len(prefix):]) if a.startswith(prefix) else a for a in argv]
+    for argv in map(bundled, commands):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out
+
+
+# eigh, eigvalsh and svd calls per command: one eigh per distinct matrix validated or projected
+SOLVER_COUNTS = {
+    "repro": {"eigh": 4, "eigvalsh": 1, "svd": 2},
+    "tomography": {"eigh": 2, "svd": 1},
+    "evolve": {"eigh": 1},
+    "separability STATE": {"eigh": 1, "eigvalsh": 1},
+    "separability --epsilon": {"eigh": 2, "eigvalsh": 1},
+    "separability --critical": {"eigh": 1, "eigvalsh": 1},
+    "ensemble": {"eigh": 1},
+}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_solver_counts(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    row = argv[0]
+    if row == "separability":
+        row += " " + next((flag for flag in ("--epsilon", "--critical") if flag in argv), "STATE")
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
+        counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert run_cli(capsys, *bundled(argv))[0] == 0
+    assert calls == SOLVER_COUNTS[row]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([2, 4, 8]).flatmap(
+        lambda d: arrays(
+            complex,
+            (d, d),
+            elements=st.builds(
+                complex,
+                st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 5e-5, -5e-5, 1e-9, -1e-9]) | st.floats(-2.0, 2.0),
+                st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 5e-5, -5e-5, 1e-9, -1e-9]) | st.floats(-2.0, 2.0),
+            ),
+        )
+    )
+)
+def test_rendering_from_lists_matches_per_element_form(m):
+    per_element = {"re": [[float(x) for x in row] for row in m.real], "im": [[float(x) for x in row] for row in m.imag]}
+    assert json.dumps(matrix_to_dict(m)) == json.dumps({"rows": len(m), "cols": len(m), **per_element})
+    assert _matrix_lines(m) == ["  " + "  ".join(_fmt_complex(z) for z in row) for row in m]

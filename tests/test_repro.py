@@ -243,8 +243,9 @@ class TestExportAndBaselines:
             {"values": dict.fromkeys(CHECKED, 123.0), "tolerances": dict.fromkeys(CHECKED, math.inf)},
             {"values": dict.fromkeys(CHECKED, 0.5)},
             {"values": dict.fromkeys(CHECKED, 0.5), "tolerances": dict.fromkeys(CHECKED, "1e-9")},
+            {"values": dict.fromkeys(CHECKED, 0.5), "tolerances": dict.fromkeys(CHECKED, -1.0)},
         ],
-        ids=["infinite-tolerances", "missing-tolerances", "string-tolerances"],
+        ids=["infinite-tolerances", "missing-tolerances", "string-tolerances", "negative-tolerances"],
     )
     def test_hand_built_baselines_are_checked(self, baselines):
         with pytest.raises(ParseError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import densities, max_abs_diff, random_density
 from nmrsim.core import (
+    EXPERIMENTAL,
     STRICT,
     DensityMatrix,
     basis_state,
@@ -23,6 +24,7 @@ from nmrsim.errors import (
     NotHermitianError,
     NotSquareError,
     NumericalFailureError,
+    ValidationError,
 )
 from nmrsim.repro import load_dataset, reproduce_theory
 from nmrsim.tomography import (
@@ -417,6 +419,12 @@ class TestClosestPhysicalState:
         w, v = state.spectrum
         assert max_abs_diff((v * w) @ v.conj().T, m / 2.0) <= 1e-15
 
+    @pytest.mark.parametrize("m", [np.zeros((2, 2)), -np.eye(2) / 2], ids=["zero", "negative"])
+    def test_non_positive_trace_is_bad_trace(self, m):
+        # dividing by such a trace reported 0 as a non-finite entry and turned -I/2 into I/2
+        with pytest.raises(BadTraceError):
+            closest_physical_state(m)
+
     def test_unprojected_branch_keeps_the_dimension_check(self):
         with pytest.raises(DimNotPowerOfTwoError):
             closest_physical_state(np.eye(3) / 3)
@@ -443,9 +451,9 @@ class TestSpectrumReuse:
             counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
             monkeypatch.setattr(np.linalg, name, counted)
         reproduce_theory()
-        # eigh: three experimental validations, three closest-physical decisions whose projections keep
-        # their eigenpairs, and the computed state's diagnostics; eigvalsh: trace distance; svd: two fidelities
-        assert calls == {"eigh": 7, "eigvalsh": 1, "svd": 2}
+        # eigh: four experimental validations, whose eigenpairs the closest-physical decisions, projections
+        # and diagnostics reuse; eigvalsh: trace distance; svd: two fidelities
+        assert calls == {"eigh": 4, "eigvalsh": 1, "svd": 2}
 
     def test_matmul_reconstruction_matches_tensordot(self):
         rng = np.random.default_rng(11)
@@ -512,6 +520,21 @@ class TestProperties:
             assert np.all(np.diff(w) >= 0.0) and w[0] >= floor
             assert max_abs_diff((v * w) @ v.conj().T, state.matrix) <= 1e-12
             assert np.linalg.eigvalsh(state.matrix).min() >= min(floor, -1e-12)
+
+    @settings(deadline=None)
+    @given(densities(), st.sampled_from([1.0, 1.0005]), st.sampled_from([0.0, 1e-12, 1e-2]))
+    def test_state_and_its_matrix_give_the_same_closest_state(self, rho, scale, shift):
+        # a trace defect and a traceless shift that can push an eigenvalue below zero
+        m = scale * (rho.matrix + shift * np.diag([1.0] + [0.0] * (rho.dim - 2) + [-1.0]))
+        for profile in (STRICT, EXPERIMENTAL):
+            try:
+                state = validate_density(m, profile)
+            except ValidationError:
+                continue
+            got, want = closest_physical_state(state), closest_physical_state(state.matrix)
+            assert got[1:] == want[1:]
+            for a, b in zip((got[0].matrix, *got[0].spectrum), (want[0].matrix, *want[0].spectrum)):
+                assert a.tobytes() == b.tobytes()
 
     @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
     def test_simplex_projection_is_idempotent(self, v):
