@@ -8,7 +8,7 @@ one result, a dict, and ``--format`` only chooses how ``_render`` prints it.
 Exit codes (stable contract):
   0  success
   1  usage error or unparseable input
-  2  assertion/regression failure (baseline mismatch, dimension mismatch)
+  2  assertion/regression failure (baseline mismatch, dimension mismatch, unsupported qubit count)
   3  validation failure (matrix violates a state/operator invariant)
 
 Set ``NMRSIM_NO_COLOR`` to disable ANSI styling of text output.
@@ -55,7 +55,7 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_VALIDATION = 3
 
-_PROFILES = {"strict": STRICT, "experimental": EXPERIMENTAL}
+_PROFILES = {p.name: p for p in (STRICT, EXPERIMENTAL)}
 
 
 def _use_color() -> bool:
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, profile=False)
     p.add_argument("--baselines", metavar="PATH", default=None, help="override the bundled baselines file")
     p.add_argument("--export", metavar="DIR", default=None, help="also export the dataset as JSON into DIR")
-    p.set_defaults(func=cmd_repro)
+    p.set_defaults(func=cmd_repro, text=_text_repro)
 
     p = sub.add_parser(
         "evolve",
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", metavar="STATE_FILE")
     p.add_argument("unitary", metavar="UNITARY_FILE")
     p.add_argument("--out", metavar="PATH", default=None, help="write the evolved matrix JSON here instead of stdout")
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=cmd_evolve, text=_text_evolve)
 
     p = sub.add_parser(
         "separability",
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None, help="compose (1-e) I/d + e rho1 before testing")
     p.add_argument("--critical", action="store_true", help="report the critical coefficient of --rho1")
     p.add_argument("--tol", type=float, default=None, help=f"PPT tolerance (default {DEFAULT_PPT_TOL})")
-    p.set_defaults(func=cmd_separability)
+    p.set_defaults(func=cmd_separability, text=_text_separability)
 
     p = sub.add_parser(
         "tomography",
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", metavar="STATE_FILE")
     p.add_argument("--shots", type=int, default=0, help="shots per observable; 0 = exact (default)")
     p.add_argument("--seed", type=int, default=None, help="generator seed (required when shots > 0, refused at 0)")
-    p.set_defaults(func=cmd_tomography)
+    p.set_defaults(func=cmd_tomography, text=_text_tomography)
 
     p = sub.add_parser(
         "ensemble",
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, profile=False)
     p.add_argument("history", metavar="HISTORY_FILE")
-    p.set_defaults(func=cmd_ensemble)
+    p.set_defaults(func=cmd_ensemble, text=_text_ensemble)
 
     return parser
 
@@ -348,21 +348,12 @@ def _text_ensemble(p: dict) -> list[str]:
     return lines
 
 
-_TEXT = {
-    "repro": _text_repro,
-    "evolve": _text_evolve,
-    "separability": _text_separability,
-    "tomography": _text_tomography,
-    "ensemble": _text_ensemble,
-}
-
-
-def _render(fmt: str, payload: dict) -> None:
-    """Print one payload: JSON with matrices in the wire format, or text lines."""
-    if fmt == "json":
+def _render(args, payload: dict) -> None:
+    """Print one payload: JSON with matrices in the wire format, or the subcommand's text lines."""
+    if args.format == "json":
         out = json.dumps(payload, indent=2, default=matrix_to_dict)
     else:
-        out = "\n".join(_TEXT[payload["command"]](payload))
+        out = "\n".join(args.text(payload))
     sys.stdout.write(out + "\n")  # one write, even when stdout is unbuffered
 
 
@@ -383,7 +374,7 @@ def main(argv=None) -> int:
     except (NmrsimError, ValueError, OSError) as exc:
         print(f"nmrsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _render(args.format, payload)
+    _render(args, payload)
     return code
 
 

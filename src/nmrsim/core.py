@@ -34,7 +34,6 @@ __all__ = [
     "DensityMatrix",
     "UnitaryOperator",
     "PureState",
-    "UnitarityCheck",
     "DensityInvariants",
     "density_invariants",
     "validate_density",
@@ -52,14 +51,19 @@ __all__ = [
     "hermiticity_defect",
 ]
 
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it; the package's only ``setflags`` call."""
+    a.setflags(write=False)
+    return a
+
+
 PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": _freeze(np.eye(2, dtype=complex)),
+    "X": _freeze(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _freeze(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _freeze(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
-for _m in PAULI_1Q.values():
-    _m.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,6 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-class UnitarityCheck(NamedTuple):
-    is_unitary: bool
-    defect: float
-
-
 class DensityInvariants(NamedTuple):
     """Measured density-matrix invariants; see :func:`density_invariants`."""
 
@@ -157,12 +156,6 @@ def _n_qubits_for(dim: int) -> int:
     if dim < 2 or (1 << n) != dim:
         raise DimNotPowerOfTwoError(f"dimension {dim} is not a power of two >= 2")
     return n
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Mark ``a`` read-only in place; every caller passes an array no one else holds."""
-    a.setflags(write=False)
-    return a
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -255,14 +248,14 @@ def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -
     return rho
 
 
-def _unitarity(a: np.ndarray, tol: float) -> UnitarityCheck:
+def _unitarity(a: np.ndarray, tol: float) -> tuple[bool, float]:
     _require_tolerance(tol, "unitarity tolerance")
     defect = float(np.max(np.abs(a.conj().T @ a - np.eye(len(a)))))
-    return UnitarityCheck(defect <= tol, defect)
+    return defect <= tol, defect
 
 
-def check_unitary(m, tol: float = 1e-10) -> UnitarityCheck:
-    """Measure the unitarity defect ``max |m^dag m - I|`` against ``tol``."""
+def check_unitary(m, tol: float = 1e-10) -> tuple[bool, float]:
+    """``(ok, defect)``: the unitarity defect ``max |m^dag m - I|`` and whether it is within ``tol``."""
     return _unitarity(_as_complex_matrix(m), tol)
 
 

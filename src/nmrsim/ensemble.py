@@ -70,7 +70,6 @@ class MemberEntanglement(NamedTuple):
 
 @dataclass(frozen=True)
 class MemberEntanglementReport:
-    label: str
     members: tuple
 
 
@@ -103,7 +102,7 @@ def entanglement_report(h: EnsembleHistory) -> MemberEntanglementReport:
         for w, psi in h.members
         for c in (concurrence(psi),)
     )
-    return MemberEntanglementReport(h.label, rows)
+    return MemberEntanglementReport(rows)
 
 
 def history_from_dict(obj) -> EnsembleHistory:

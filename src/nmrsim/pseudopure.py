@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmrsim.core import STRICT, DensityMatrix, _require_finite, purity, validate_density
+from nmrsim.core import STRICT, DensityMatrix, _freeze, _require_finite, purity, validate_density
 from nmrsim.errors import DimMismatchError, NotPureError
 
 __all__ = [
@@ -48,8 +48,7 @@ class PopulationVector:
             raise ValueError("population vector must not be empty")
         if not ((0.0 <= c) & (c < np.inf)).all():  # NaN fails too
             raise ValueError(f"populations must be finite and nonnegative, got {c}")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "counts", _freeze(c))
 
 
 class EpsilonEstimate(NamedTuple):

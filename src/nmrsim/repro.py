@@ -30,6 +30,7 @@ import numpy as np
 from nmrsim.core import (
     EXPERIMENTAL,
     UnitaryOperator,
+    _freeze,
     density_invariants,
     evolve,
     fidelity,
@@ -87,9 +88,7 @@ _DATA = Path(__file__).with_name("data")
 
 
 def _read_frozen(name: str) -> np.ndarray:
-    m = load_matrix(_DATA / f"{name}.json")
-    m.setflags(write=False)
-    return m
+    return _freeze(load_matrix(_DATA / f"{name}.json"))
 
 
 @functools.cache
@@ -160,7 +159,7 @@ def _diagnose(rho, renormalized: bool = False, projected: bool = False) -> dict:
     }
 
 
-def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
+def reproduce_theory() -> ReproReport:
     """Recompute the evolved state and compare with the printed records.
 
     ``computed_rho_th = c rho c^dag`` uses the printed initial state as-is.
@@ -169,8 +168,7 @@ def reproduce_theory(ds: ExperimentDataset | None = None) -> ReproReport:
     after-state does, so both matrices are trace-renormalized and
     PSD-projected as needed, with the steps recorded in the diagnostics.
     """
-    if ds is None:
-        ds = load_dataset()
+    ds = load_dataset()
     # any validation failure is a data-entry bug; each state's eigenpairs serve all that follows
     rho_initial = validate_density(ds.rho_initial, EXPERIMENTAL)
     exp_after = validate_density(ds.rho_exp_after, EXPERIMENTAL)

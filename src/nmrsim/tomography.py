@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from nmrsim.core import (
+    EXPERIMENTAL,
     PAULI_1Q,
     STRICT,
     DensityMatrix,
@@ -45,7 +46,7 @@ from nmrsim.core import (
     hermiticity_defect,
     tensor,
 )
-from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError
+from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError, WrongDimError
 
 __all__ = [
     "MAX_QUBITS",
@@ -82,16 +83,13 @@ def pauli_matrix(label: str) -> np.ndarray:
     m = PAULI_1Q[label[0]]
     for ch in label[1:]:
         m = tensor(m, PAULI_1Q[ch])
-    m.setflags(write=False)
-    return m
+    return _freeze(m)
 
 
 @lru_cache(maxsize=None)
 def _stack(n_qubits: int) -> np.ndarray:
     """Read-only ``(4^n, d, d)`` array of :func:`pauli_matrix` in label order."""
-    s = np.stack([pauli_matrix(label) for label in pauli_labels(n_qubits)])
-    s.setflags(write=False)
-    return s
+    return _freeze(np.stack([pauli_matrix(label) for label in pauli_labels(n_qubits)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +119,7 @@ class PauliExpectationSet:
         if not ok.all():
             k = int(np.flatnonzero(~ok)[0])
             raise ValueError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(v))
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     residue beyond 1e-12 (or a NaN) on the others is a numerical failure.
     """
     if rho.n_qubits > MAX_QUBITS:
-        raise ValueError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
+        raise WrongDimError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
     # each P is exactly Hermitian, so row k of the flattened stack dotted with conj(rho) is conj(tr(rho P_k))
     t = _stack(rho.n_qubits).reshape(4**rho.n_qubits, -1) @ rho.matrix.conj().reshape(-1)
     ok = np.abs(t.imag[1:]) <= 1e-12  # NaN fails too
@@ -225,14 +222,19 @@ def closest_physical_state(m) -> tuple[DensityMatrix, bool, bool]:
 
     Divides the eigenvalues of the Hermitian part of ``m``, or a state's stored
     ones, by the trace, which must be positive, so a validated state and its
-    matrix agree bit for bit.  Flags: the trace was renormalized; an
-    eigenvalue was below ``-STRICT.psd_tol``, so the eigenvalues were projected.
+    matrix agree bit for bit.  An array whose hermiticity defect exceeds that of any
+    validated state, ``EXPERIMENTAL.hermiticity_tol``, is a ``NotHermitianError``.
+    Flags: the trace was renormalized; an eigenvalue was below ``-STRICT.psd_tol``,
+    so the eigenvalues were projected.
     """
-    a = m.matrix if isinstance(m, DensityMatrix) else _as_complex_matrix(m)
+    is_state = isinstance(m, DensityMatrix)
+    a = m.matrix if is_state else _as_complex_matrix(m)
+    if not is_state and (herm := hermiticity_defect(a)) > EXPERIMENTAL.hermiticity_tol:
+        raise NotHermitianError(herm)
     t = complex(a.trace()).real
     if not 0.0 < t < np.inf:
         raise BadTraceError(abs(t - 1.0))
-    w, v = _eigh(m if isinstance(m, DensityMatrix) else a)
+    w, v = _eigh(m if is_state else a)
     w = _freeze(w / t)
     projected = bool(w[0] < -STRICT.psd_tol)
     state = _project(w, v) if projected else _checked_density(_hermitian_part(a) / t, STRICT, (w, v))

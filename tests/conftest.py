@@ -1,3 +1,6 @@
+import collections
+
+import numpy as np
 import pytest
 
 _ACCEPTANCE: dict[str, list[str]] = {}
@@ -28,3 +31,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         outcomes = _ACCEPTANCE[doc]
         status = "PASS" if all(o == "passed" for o in outcomes) else "FAIL"
         terminalreporter.write_line(f"[{status}] {doc}")
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """A ``Counter`` of the ``np.linalg`` ``eigh``, ``eigvalsh`` and ``svd`` calls the test makes from here on."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        solver = getattr(np.linalg, name)
+        counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -1,4 +1,3 @@
-import collections
 import json
 import math
 import os
@@ -219,11 +218,12 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
 
-    def test_too_many_qubits_is_usage_error(self, capsys, tmp_path):
+    def test_too_many_qubits_is_dimension_error(self, capsys, tmp_path):
+        # the same exit as separability gives a 4-qubit state: an unsupported dimension, not a usage error
         big = tmp_path / "four_qubits.json"
         save_matrix(np.eye(16, dtype=complex) / 16, big)
         code, out, _ = run_cli(capsys, "tomography", str(big), "--shots", "0")
-        assert code == 1
+        assert code == 2
         assert out == ""
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -259,6 +259,13 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "cannot parse input" in err
+
+    def test_unequal_re_im_history_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "history.json"
+        path.write_text('{"label": "bad", "members": [{"weight": 1.0, "re": [1, 0, 0, 0], "im": [0, 0, 0]}]}')
+        code, out, err = run_cli(capsys, "ensemble", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("nmrsim: cannot parse input: ") and "equal-length" in err
 
     def test_shots_without_seed_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "tomography", data_path("maximally_mixed_2q.json"), "--shots", "10")
@@ -303,9 +310,10 @@ class TestExitCodes:
             ["--critical", "--epsilon", "0.2", "--rho1", "bell_state.json"],
             ["--epsilon", "0.2"],
             ["--critical", "--rho1", "bell_state.json", "--tol", "1e-3"],
+            ["--critical"],
         ],
         ids=["state+epsilon+rho1", "state+rho1", "state+epsilon", "critical+state", "critical+epsilon",
-             "epsilon-without-rho1", "critical+tol"],
+             "epsilon-without-rho1", "critical+tol", "critical-without-rho1"],
     )
     def test_conflicting_separability_inputs_are_usage_errors(self, capsys, argv):
         # each input mode must not silently drop another mode's flags
@@ -407,6 +415,16 @@ class TestBehaviour:
         payload = json.loads(out)
         assert payload["members"][0]["concurrence"] == 0.0
         assert payload["density"]["re"][0][0] == 1.0
+
+    def test_one_qubit_history_has_no_member_table(self, capsys, tmp_path):
+        path = tmp_path / "one_qubit.json"
+        path.write_text(json.dumps({"label": "just |0>", "members": [{"weight": 1.0, "re": [1, 0], "im": [0, 0]}]}))
+        code, out, _ = run_cli(capsys, "ensemble", str(path))
+        assert code == 0
+        assert out.splitlines()[-1] == "(per-member concurrence is reported for 2-qubit members only)"
+        code, out, _ = run_cli(capsys, "ensemble", str(path), "--format", "json")
+        assert code == 0
+        assert "members" not in json.loads(out)
 
     def test_no_color_env_var(self, monkeypatch):
         import sys
@@ -511,18 +529,13 @@ SOLVER_COUNTS = {
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_readme_command_solver_counts(capsys, tmp_path, monkeypatch, argv):
+def test_readme_command_solver_counts(capsys, tmp_path, monkeypatch, solver_calls, argv):
     monkeypatch.chdir(tmp_path)
     row = argv[0]
     if row == "separability":
         row += " " + next((flag for flag in ("--epsilon", "--critical") if flag in argv), "STATE")
-    calls = collections.Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
-        solver = getattr(np.linalg, name)
-        counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
-        monkeypatch.setattr(np.linalg, name, counted)
     assert run_cli(capsys, *bundled(argv))[0] == 0
-    assert calls == SOLVER_COUNTS[row]
+    assert solver_calls == SOLVER_COUNTS[row]
 
 
 @settings(deadline=None)

@@ -297,6 +297,15 @@ class TestPureStates:
         with pytest.raises(NotNormalizedError):
             pure_state(amplitudes)
 
+    @pytest.mark.parametrize("amplitudes", [[], [1.0]], ids=["empty", "scalar"])
+    def test_fewer_than_two_amplitudes_rejected(self, amplitudes):
+        with pytest.raises(NotNormalizedError, match="empty or scalar"):
+            pure_state(amplitudes)
+
+    def test_basis_index_out_of_range(self):
+        with pytest.raises(IndexError, match="basis index 4 out of range for dimension 4"):
+            basis_state(2, 4)
+
     def test_bell_states_normalized_and_orthogonal(self):
         kinds = ["phi+", "phi-", "psi+", "psi-"]
         states = [bell_state(k) for k in kinds]

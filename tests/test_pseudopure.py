@@ -159,6 +159,10 @@ class TestPopulationVector:
         with pytest.raises(ValueError):
             PopulationVector(np.array([1.0, -0.5]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            PopulationVector([])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_counts_rejected(self, bad):
         # a NaN or infinite count would reach net_signal as a NaN or infinite signal

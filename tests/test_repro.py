@@ -116,7 +116,7 @@ class TestReproduceTheory:
 
     def test_eigenvalues_preserved_from_initial(self):
         ds = load_dataset()
-        report = reproduce_theory(ds)
+        report = reproduce_theory()
         ev_in = np.sort(np.linalg.eigvalsh(ds.rho_initial))
         ev_out = np.sort(np.linalg.eigvalsh(report.computed_rho_th))
         assert max_abs_diff(ev_in, ev_out) <= 1e-9
@@ -135,7 +135,7 @@ class TestReproduceTheory:
                 dim = computed[i][j][1] - th[i][j][1]
                 max_sq = max(max_sq, dre * dre + dim * dim)
         exact_dev = float(max_sq) ** 0.5
-        report = reproduce_theory(ds)
+        report = reproduce_theory()
         assert abs(report.max_dev_vs_printed_th - exact_dev) <= 1e-12
 
     def test_matches_frozen_baselines(self):

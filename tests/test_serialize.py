@@ -107,6 +107,11 @@ def test_rejects_bad_dimensions():
         matrix_from_dict(doc)
 
 
+def test_to_dict_rejects_non_matrix():
+    with pytest.raises(ParseError, match="expected a 2-d matrix, got 1-d data"):
+        matrix_to_dict(np.array([1.0, 0.0]))
+
+
 def test_rejects_non_object():
     with pytest.raises(ParseError):
         matrix_from_dict([1, 2, 3])

@@ -1,4 +1,3 @@
-import collections
 import itertools
 from functools import reduce
 
@@ -25,6 +24,7 @@ from nmrsim.errors import (
     NotSquareError,
     NumericalFailureError,
     ValidationError,
+    WrongDimError,
 )
 from nmrsim.repro import load_dataset, reproduce_theory
 from nmrsim.tomography import (
@@ -134,7 +134,7 @@ class TestExpectations:
             assert e[label] == pytest.approx(0.0, abs=1e-12)
 
     def test_too_many_qubits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WrongDimError):
             pauli_expectations(validate_density(np.eye(16) / 16, STRICT))
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -174,6 +174,13 @@ class TestExpectations:
         for values, message in cases:
             with pytest.raises(ValueError, match=message):
                 PauliExpectationSet(1, values)
+
+    @pytest.mark.parametrize("n_qubits", [0, 4])
+    def test_set_qubit_count_out_of_range(self, n_qubits):
+        values = np.zeros(4**n_qubits)
+        values[0] = 1.0
+        with pytest.raises(ValueError, match="support 1..3 qubits"):
+            PauliExpectationSet(n_qubits, values)
 
     def test_values_are_a_read_only_copy(self):
         caller = np.array([1.0, 0.25, -0.5, 0.0])
@@ -361,6 +368,14 @@ class TestProjectPsd:
 
 
 class TestClosestPhysicalState:
+    def test_non_hermitian_array_is_rejected(self):
+        # hermiticity defect 1.0; taking the Hermitian part [[0.5, 0.5], [0.5, 0.5]] would set neither flag
+        m = np.eye(2) / 2 + 0.5j * np.eye(2) + np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitianError, match="1.000e\\+00"):
+            closest_physical_state(m)
+        # the defect a validated experimental-profile state may carry is still accepted
+        closest_physical_state(np.eye(2) / 2 + np.array([[0.0, EXPERIMENTAL.hermiticity_tol], [0.0, 0.0]]))
+
     def test_strict_state_untouched(self):
         state, renorm, projected = closest_physical_state(np.eye(4) / 4)
         assert not renorm and not projected
@@ -392,30 +407,23 @@ class TestClosestPhysicalState:
         with pytest.raises(NumericalFailureError, match="non-finite"):
             closest_physical_state(m)
 
-    def test_projection_runs_one_eigendecomposition(self, monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solver=solver: calls.append(name) or solver(a))
+    def test_projection_runs_one_eigendecomposition(self, solver_calls):
         _, _, projected = closest_physical_state(load_dataset().rho_exp_after)
         # one decomposition decides and projects; the state keeps the projected eigenpairs for its
         # strict validation and for fidelity
-        assert projected and calls == ["eigh"]
+        assert projected and solver_calls == {"eigh": 1}
 
     def test_rejects_non_square_input(self):
         for m in (np.ones((2, 3)) / 2, np.ones(4) / 4):
             with pytest.raises(NotSquareError):
                 closest_physical_state(m)
 
-    def test_unprojected_state_is_decomposed_once(self, monkeypatch):
+    def test_unprojected_state_is_decomposed_once(self, solver_calls):
         m = 2.0 * random_density(np.random.default_rng(17), 8).matrix  # renormalized, not projected
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, name=name, solver=solver: calls.append(name) or solver(a))
+        solver_calls.clear()
         state, renorm, projected = closest_physical_state(m)
         # the decomposition that decides is the strict validation's, and stays with the state for fidelity
-        assert renorm and not projected and calls == ["eigh"]
+        assert renorm and not projected and solver_calls == {"eigh": 1}
         w, v = state.spectrum
         assert max_abs_diff((v * w) @ v.conj().T, m / 2.0) <= 1e-15
 
@@ -431,29 +439,20 @@ class TestClosestPhysicalState:
 
 
 class TestSpectrumReuse:
-    def test_pipeline_decomposes_each_state_once(self, monkeypatch):
+    def test_pipeline_decomposes_each_state_once(self, solver_calls):
         rho = random_density(np.random.default_rng(7), 8)
         recon = reconstruct_linear(simulate_shot_noise(rho, ShotNoiseConfig(1000, 3)))
-        calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            solver = getattr(np.linalg, name)
-            counted = lambda *a, name=name, solver=solver, **kw: calls.append(name) or solver(*a, **kw)  # noqa: E731
-            monkeypatch.setattr(np.linalg, name, counted)
+        solver_calls.clear()
         fidelity(project_psd(recon), rho)
         # project_psd decomposes once and keeps the projected eigenpairs; fidelity reads both stored spectra
-        assert sorted(calls) == ["eigh", "svd"]
+        assert solver_calls == {"eigh": 1, "svd": 1}
 
-    def test_reproduce_theory_solver_counts(self, monkeypatch):
+    def test_reproduce_theory_solver_counts(self, solver_calls):
         load_dataset()  # cached after the first call
-        calls = collections.Counter()
-        for name in ("eigh", "eigvalsh", "svd"):
-            solver = getattr(np.linalg, name)
-            counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
-            monkeypatch.setattr(np.linalg, name, counted)
         reproduce_theory()
         # eigh: four experimental validations, whose eigenpairs the closest-physical decisions, projections
         # and diagnostics reuse; eigvalsh: trace distance; svd: two fidelities
-        assert calls == {"eigh": 4, "eigvalsh": 1, "svd": 2}
+        assert solver_calls == {"eigh": 4, "eigvalsh": 1, "svd": 2}
 
     def test_matmul_reconstruction_matches_tensordot(self):
         rng = np.random.default_rng(11)
