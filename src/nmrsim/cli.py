@@ -7,9 +7,13 @@ one result, a dict, and ``--format`` only chooses how ``_render`` prints it.
 
 Exit codes (stable contract):
   0  success
-  1  usage error or unparseable input
-  2  assertion/regression failure (baseline mismatch, dimension mismatch, unsupported qubit count)
+  1  usage error, bad argument, or unreadable or undecodable input
+  2  assertion/regression failure (baseline mismatch, dimension mismatch,
+     a state of more than 3 qubits)
   3  validation failure (matrix violates a state/operator invariant)
+
+Only the package's typed errors (and I/O errors) map to an exit code; any
+other exception is a bug and propagates.
 
 Set ``NMRSIM_NO_COLOR`` to disable ANSI styling of text output.
 """
@@ -26,6 +30,7 @@ from nmrsim import repro
 from nmrsim.core import EXPERIMENTAL, STRICT, evolve, fidelity, validate_density, validate_unitary
 from nmrsim.ensemble import density_of, entanglement_report, history_from_dict
 from nmrsim.errors import (
+    BadArgumentError,
     DimMismatchError,
     NmrsimError,
     NumericalFailureError,
@@ -199,13 +204,13 @@ def cmd_separability(args) -> tuple[int, dict]:
     payload: dict = {"command": "separability", "tolerance": tol}
     # Each mode reads its own inputs; a flag another mode reads is an error, not ignored.
     if args.critical and (args.state is not None or args.epsilon is not None or args.tol is not None):
-        raise ValueError("--critical takes --rho1 only, not STATE_FILE, --epsilon or --tol")
+        raise BadArgumentError("--critical takes --rho1 only, not STATE_FILE, --epsilon or --tol")
     if args.state is not None and (args.rho1 is not None or args.epsilon is not None):
-        raise ValueError("give STATE_FILE, or --epsilon with --rho1, not both")
+        raise BadArgumentError("give STATE_FILE, or --epsilon with --rho1, not both")
 
     if args.critical:
         if args.rho1 is None:
-            raise ValueError("--critical requires --rho1 FILE")
+            raise BadArgumentError("--critical requires --rho1 FILE")
         rho1 = validate_density(load_matrix(args.rho1), profile)
         payload.update({"mode": "critical", "critical_epsilon": critical_epsilon(rho1)})
         return EXIT_OK, payload
@@ -217,7 +222,7 @@ def cmd_separability(args) -> tuple[int, dict]:
         rho = compose_pseudopure(args.epsilon, rho1)
         payload["epsilon"] = args.epsilon
     else:
-        raise ValueError("provide STATE_FILE, or --epsilon with --rho1")
+        raise BadArgumentError("provide STATE_FILE, or --epsilon with --rho1")
     conclusive = rho.n_qubits == 2
     rep = is_separable_2q(rho, tol) if conclusive else ppt_first_vs_rest(rho, tol)
     payload.update(
@@ -235,9 +240,9 @@ def cmd_separability(args) -> tuple[int, dict]:
 def cmd_tomography(args) -> tuple[int, dict]:
     rho = validate_density(load_matrix(args.state), _PROFILES[args.profile])
     if args.shots < 0 or (args.seed or 0) < 0:
-        raise ValueError(f"--shots and --seed must be >= 0, got {args.shots} and {args.seed}")
+        raise BadArgumentError(f"--shots and --seed must be >= 0, got {args.shots} and {args.seed}")
     if (args.seed is None) != (args.shots == 0):
-        raise ValueError("--seed is required when --shots > 0 and not read when --shots is 0")
+        raise BadArgumentError("--seed is required when --shots > 0 and not read when --shots is 0")
     if args.shots == 0:
         expectations = pauli_expectations(rho)
     else:
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"nmrsim: cannot parse input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NmrsimError, ValueError, OSError) as exc:
+    except (NmrsimError, OSError) as exc:
         print(f"nmrsim: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _render(args, payload)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nmrsim.errors import (
+    BadArgumentError,
     BadTraceError,
     DimMismatchError,
     DimNotPowerOfTwoError,
@@ -24,9 +25,11 @@ from nmrsim.errors import (
     NotSquareError,
     NotUnitaryError,
     NumericalFailureError,
+    WrongDimError,
 )
 
 __all__ = [
+    "MAX_QUBITS",
     "PAULI_1Q",
     "ValidationProfile",
     "STRICT",
@@ -58,6 +61,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+MAX_QUBITS = 3
+
 PAULI_1Q = {
     "I": _freeze(np.eye(2, dtype=complex)),
     "X": _freeze(np.array([[0, 1], [1, 0]], dtype=complex)),
@@ -88,7 +93,7 @@ class ValidationProfile:
 def _require_tolerance(tol: float, what: str) -> None:
     """Reject a NaN, infinite or negative tolerance, which no comparison can honour."""
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{what} must be finite and nonnegative, got {tol}")
+        raise BadArgumentError(f"{what} must be finite and nonnegative, got {tol}")
 
 
 STRICT = ValidationProfile("strict", 1e-10, 1e-10, 1e-10)
@@ -152,15 +157,19 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 
 def _n_qubits_for(dim: int) -> int:
+    """The qubit count of a dimension; the one place the limit of ``MAX_QUBITS`` is checked."""
     n = int(dim).bit_length() - 1
     if dim < 2 or (1 << n) != dim:
         raise DimNotPowerOfTwoError(f"dimension {dim} is not a power of two >= 2")
+    if n > MAX_QUBITS:
+        raise WrongDimError(f"at most {MAX_QUBITS} qubits are supported, got {n} (dimension {dim})")
     return n
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m_jk - conj(m_kj)| over all entries."""
-    return float(np.abs(m - m.conj().T).max())
+    """max |m_jk - conj(m_kj)| over all entries; ``inf`` if a difference overflows."""
+    with np.errstate(over="ignore"):  # an overflow is an infinite defect, which every tolerance rejects
+        return float(np.abs(m - m.conj().T).max())
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -169,8 +178,8 @@ def _require_finite(m: np.ndarray) -> None:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(a + a^dag) / 2``, the matrix every eigen-solve reads."""
-    return (a + a.conj().T) / 2.0
+    """``(a + a^dag) / 2``, the matrix every eigen-solve reads, halved first so that no finite entry overflows."""
+    return a / 2.0 + a.conj().T / 2.0
 
 
 def _lapack(solver, a: np.ndarray, **kw):
@@ -205,7 +214,8 @@ def density_invariants(m) -> DensityInvariants:
     """
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     w, _ = _eigh(m if isinstance(m, DensityMatrix) else a)
-    return DensityInvariants(complex(a.trace()), hermiticity_defect(a), float(w[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is inf or NaN; both fail the trace check
+        return DensityInvariants(complex(a.trace()), hermiticity_defect(a), float(w[0]))
 
 
 def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
@@ -241,7 +251,7 @@ def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -
     if inv.hermiticity_defect > profile.hermiticity_tol:
         raise NotHermitianError(inv.hermiticity_defect)
     trace_dev = abs(inv.trace - 1.0)
-    if trace_dev > profile.trace_tol:
+    if not trace_dev <= profile.trace_tol:  # NaN fails too
         raise BadTraceError(trace_dev)
     if inv.min_eigenvalue < -profile.psd_tol:
         raise NotPsdError(inv.min_eigenvalue)
@@ -250,7 +260,8 @@ def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -
 
 def _unitarity(a: np.ndarray, tol: float) -> tuple[bool, float]:
     _require_tolerance(tol, "unitarity tolerance")
-    defect = float(np.max(np.abs(a.conj().T @ a - np.eye(len(a)))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the defect inf or NaN, so not ok
+        defect = float(np.max(np.abs(a.conj().T @ a - np.eye(len(a)))))
     return defect <= tol, defect
 
 
@@ -273,7 +284,8 @@ def pure_state(amplitudes) -> PureState:
     v = np.array(amplitudes, dtype=complex).reshape(-1)
     if v.size < 2:
         raise NotNormalizedError(1.0, what="empty or scalar state vector")
-    dev = abs(float(np.linalg.norm(v)) - 1.0)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
+        dev = abs(float(np.linalg.norm(v)) - 1.0)
     if not dev <= 1e-12:  # NaN fails too
         raise NotNormalizedError(dev, what="state vector")
     return PureState(_freeze(v), v.size)
@@ -304,7 +316,7 @@ def bell_state(kind: str) -> PureState:
     sign, and ``"psi+"``/``"psi-"`` for (|01> +- |10>)/sqrt(2).
     """
     if kind not in _BELL_AMPLITUDES:
-        raise ValueError(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_AMPLITUDES)}")
+        raise BadArgumentError(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_AMPLITUDES)}")
     i, j, sign = _BELL_AMPLITUDES[kind]
     v = np.zeros(4, dtype=complex)
     v[i] = np.sqrt(0.5)

@@ -17,7 +17,7 @@ from nmrsim.core import (
     pure_state,
     validate_density,
 )
-from nmrsim.errors import DimMismatchError, NotNormalizedError, ParseError, WrongDimError
+from nmrsim.errors import BadArgumentError, DimMismatchError, NotNormalizedError, ParseError, WrongDimError
 from nmrsim.serialize import require_number
 
 __all__ = [
@@ -45,10 +45,10 @@ class EnsembleHistory:
     def __post_init__(self):
         members = tuple((float(w), psi) for w, psi in self.members)
         if not members:
-            raise ValueError("a history needs at least one member")
+            raise BadArgumentError("a history needs at least one member")
         for w, _ in members:
             if not w > 0.0:  # NaN fails too
-                raise ValueError(f"member weight {w} must be positive")
+                raise BadArgumentError(f"member weight {w} must be positive")
         total = sum(w for w, _ in members)
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise NotNormalizedError(abs(total - 1.0), what="history weights")

@@ -1,12 +1,19 @@
 """Exception types shared across the package.
 
-Validation errors carry the measured magnitude of the violated invariant so
-callers (and the CLI) can report what went wrong, not just that it did.
+Every input the package rejects raises a subclass of :class:`NmrsimError`;
+the CLI maps each family to its exit code and lets any other exception
+through as the bug it is.  Validation errors carry the measured magnitude of
+the violated invariant so callers (and the CLI) can report what went wrong,
+not just that it did.
 """
 
 
 class NmrsimError(Exception):
     """Base class for every error raised by this package."""
+
+
+class BadArgumentError(NmrsimError, ValueError):
+    """An argument lies outside the domain of the operation."""
 
 
 class ParseError(NmrsimError):

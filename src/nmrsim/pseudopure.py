@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nmrsim.core import STRICT, DensityMatrix, _freeze, _require_finite, purity, validate_density
-from nmrsim.errors import DimMismatchError, NotPureError
+from nmrsim.errors import BadArgumentError, DimMismatchError, NotPureError
 
 __all__ = [
     "PURITY_TOL",
@@ -45,9 +45,9 @@ class PopulationVector:
     def __post_init__(self):
         c = np.array(self.counts, dtype=float).reshape(-1)
         if c.size == 0:
-            raise ValueError("population vector must not be empty")
+            raise BadArgumentError("population vector must not be empty")
         if not ((0.0 <= c) & (c < np.inf)).all():  # NaN fails too
-            raise ValueError(f"populations must be finite and nonnegative, got {c}")
+            raise BadArgumentError(f"populations must be finite and nonnegative, got {c}")
         object.__setattr__(self, "counts", _freeze(c))
 
 
@@ -66,7 +66,7 @@ class NetSignal(NamedTuple):
 def compose_pseudopure(eps: float, rho1: DensityMatrix) -> DensityMatrix:
     """``(1 - eps) I/d + eps rho1`` for pure ``rho1`` and ``eps`` in [0, 1]."""
     if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
+        raise BadArgumentError(f"epsilon must lie in [0, 1], got {eps}")
     _require_pure(rho1)
     d = rho1.dim
     m = (1.0 - eps) * np.eye(d) / d + eps * rho1.matrix
@@ -97,6 +97,6 @@ def net_signal(p: PopulationVector) -> NetSignal:
     would produce.
     """
     if p.counts.size != 2:
-        raise ValueError(f"expected a single-qubit population pair, got length {p.counts.size}")
+        raise BadArgumentError(f"expected a single-qubit population pair, got length {p.counts.size}")
     n0, n1 = (float(x) for x in p.counts)
     return NetSignal(n0 - n1, abs(n0 - n1))

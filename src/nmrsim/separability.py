@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nmrsim.core import DensityMatrix, _eigvalsh, _require_tolerance
-from nmrsim.errors import WrongDimError
+from nmrsim.errors import BadArgumentError, WrongDimError
 from nmrsim.pseudopure import _require_pure
 
 __all__ = [
@@ -43,10 +43,10 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
     twice returns the input.
     """
     n = rho.n_qubits
-    if n not in (2, 3):
+    if n < 2:
         raise WrongDimError(f"PPT test supports 2 or 3 qubits, got dim {rho.dim}")
     if not 0 <= qubit < n:
-        raise ValueError(f"qubit must be in 0..{n - 1}, got {qubit}")
+        raise BadArgumentError(f"qubit must be in 0..{n - 1}, got {qubit}")
     # axes 0..n-1 index the rows, n..2n-1 the columns, one axis per qubit
     t = rho.matrix.reshape((2,) * (2 * n)).swapaxes(qubit, n + qubit)
     return t.reshape(rho.dim, rho.dim)

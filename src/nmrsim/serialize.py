@@ -70,13 +70,14 @@ def matrix_from_dict(obj) -> np.ndarray:
 
 
 def load_json(path) -> object:
+    """The decoded document at ``path``; an unreadable file or an undecodable document is a ``ParseError``."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an over-long integer, or deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

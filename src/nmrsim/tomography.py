@@ -35,6 +35,7 @@ import numpy as np
 
 from nmrsim.core import (
     EXPERIMENTAL,
+    MAX_QUBITS,
     PAULI_1Q,
     STRICT,
     DensityMatrix,
@@ -46,10 +47,9 @@ from nmrsim.core import (
     hermiticity_defect,
     tensor,
 )
-from nmrsim.errors import BadTraceError, NotHermitianError, NumericalFailureError, WrongDimError
+from nmrsim.errors import BadArgumentError, BadTraceError, NotHermitianError, NumericalFailureError
 
 __all__ = [
-    "MAX_QUBITS",
     "PauliExpectationSet",
     "ShotNoiseConfig",
     "pauli_labels",
@@ -62,7 +62,6 @@ __all__ = [
     "closest_physical_state",
 ]
 
-MAX_QUBITS = 3
 _PAULI_CHARS = "IXYZ"
 
 
@@ -79,7 +78,7 @@ def pauli_labels(n_qubits: int) -> tuple[str, ...]:
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by ``label``."""
     if not label or any(ch not in _PAULI_CHARS for ch in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
+        raise BadArgumentError(f"invalid Pauli label {label!r}")
     m = PAULI_1Q[label[0]]
     for ch in label[1:]:
         m = tensor(m, PAULI_1Q[ch])
@@ -106,19 +105,19 @@ class PauliExpectationSet:
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits}")
+            raise BadArgumentError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits}")
         v = np.asarray(self.values)
         if v.dtype.kind not in "iuf":  # a float cast would drop an imaginary part with only a warning
-            raise ValueError(f"expectations must be real numbers, got dtype {v.dtype}")
+            raise BadArgumentError(f"expectations must be real numbers, got dtype {v.dtype}")
         v = np.array(v, dtype=float)
         if v.shape != (4**self.n_qubits,):
-            raise ValueError(f"expected {4**self.n_qubits} expectations, got shape {v.shape}")
+            raise BadArgumentError(f"expected {4**self.n_qubits} expectations, got shape {v.shape}")
         if v[0] != 1.0:
-            raise ValueError(f"identity expectation must be exactly 1, got {v[0]}")
+            raise BadArgumentError(f"identity expectation must be exactly 1, got {v[0]}")
         ok = np.abs(v) <= 1.0 + 1e-12  # NaN fails too
         if not ok.all():
             k = int(np.flatnonzero(~ok)[0])
-            raise ValueError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
+            raise BadArgumentError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
         object.__setattr__(self, "values", _freeze(v))
 
 
@@ -130,9 +129,9 @@ class ShotNoiseConfig:
     def __post_init__(self):
         s = self.shots_per_observable
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 2**63 - 1:
-            raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {s!r}")
+            raise BadArgumentError(f"shots must be an integer in [1, 2**63 - 1], got {s!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+            raise BadArgumentError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
@@ -141,8 +140,6 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     The identity entry is pinned to 1 (the trace, by definition); an imaginary
     residue beyond 1e-12 (or a NaN) on the others is a numerical failure.
     """
-    if rho.n_qubits > MAX_QUBITS:
-        raise WrongDimError(f"tomography supports at most {MAX_QUBITS} qubits, got {rho.n_qubits}")
     # each P is exactly Hermitian, so row k of the flattened stack dotted with conj(rho) is conj(tr(rho P_k))
     t = _stack(rho.n_qubits).reshape(4**rho.n_qubits, -1) @ rho.matrix.conj().reshape(-1)
     ok = np.abs(t.imag[1:]) <= 1e-12  # NaN fails too
@@ -185,7 +182,7 @@ def simplex_project(v) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or not v.size or not np.isfinite(v).all():
-        raise ValueError(f"simplex projection needs a non-empty finite vector, got {v!r}")
+        raise BadArgumentError(f"simplex projection needs a non-empty finite vector, got {v!r}")
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -225,6 +226,52 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "tomography", str(big), "--shots", "0")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["evolve", "ensemble", "separability"])
+    def test_four_qubits_are_a_dimension_error_everywhere(self, capsys, tmp_path, command):
+        state, unitary, history = tmp_path / "state.json", tmp_path / "unitary.json", tmp_path / "history.json"
+        save_matrix(np.eye(16, dtype=complex) / 16, state)
+        save_matrix(np.eye(16, dtype=complex), unitary)
+        member = {"weight": 1.0, "re": [1] + [0] * 15, "im": [0] * 16}
+        history.write_text(json.dumps({"label": "4 qubits", "members": [member]}))
+        argv = {"evolve": [state, unitary], "ensemble": [history], "separability": [state]}[command]
+        code, out, err = run_cli(capsys, command, *map(str, argv))
+        assert (code, out) == (2, "")
+        assert err == "nmrsim: at most 3 qubits are supported, got 4 (dimension 16)\n"
+
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"1" * 5000, b"[" * 100_000], ids=["not-utf8", "long-integer", "deep-nesting"]
+    )
+    @pytest.mark.parametrize("command", ["evolve", "ensemble"])
+    def test_undecodable_file_is_parse_error(self, capsys, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [str(path), data_path("step_matrix.json")] if command == "evolve" else [str(path)]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("nmrsim: cannot parse input: ")
+
+    @pytest.mark.parametrize("command", ["evolve", "separability"])
+    def test_overflowing_hermitian_part_is_not_psd(self, capsys, tmp_path, command):
+        # finite, Hermitian and unit-trace, so only its eigenvalue -1e308 is wrong with it
+        path = tmp_path / "huge.json"
+        save_matrix(np.diag([1e308, -1e308, 1.0, 0.0]).astype(complex), path)
+        argv = [str(path), data_path("step_matrix.json")] if command == "evolve" else [str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out) == (3, "")
+        assert err.endswith("not positive semidefinite: min eigenvalue = -1.000e+308\n")
+
+    def test_untyped_error_escapes_as_a_bug(self, capsys, monkeypatch):
+        # only typed errors are the user's fault; a ValueError from a kernel is not reported as a usage error
+        def broken(rho, u):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("nmrsim.cli.evolve", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json")])
+        assert capsys.readouterr().out == ""
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

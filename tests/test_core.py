@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import densities, max_abs_diff, pure_densities, random_density, random_pure, random_unitary, unitaries
 from nmrsim.core import (
@@ -10,6 +11,7 @@ from nmrsim.core import (
     STRICT,
     DensityMatrix,
     ValidationProfile,
+    _hermitian_part,
     basis_state,
     bell_state,
     check_unitary,
@@ -17,6 +19,7 @@ from nmrsim.core import (
     density_invariants,
     evolve,
     fidelity,
+    hermiticity_defect,
     pure_state,
     purity,
     tensor,
@@ -25,15 +28,18 @@ from nmrsim.core import (
     validate_unitary,
 )
 from nmrsim.errors import (
+    BadArgumentError,
     BadTraceError,
     DimMismatchError,
     DimNotPowerOfTwoError,
+    NmrsimError,
     NotHermitianError,
     NotNormalizedError,
     NotPsdError,
     NotSquareError,
     NotUnitaryError,
     NumericalFailureError,
+    WrongDimError,
 )
 from nmrsim.repro import load_dataset
 from nmrsim.tomography import ShotNoiseConfig, project_psd, reconstruct_linear, simulate_shot_noise
@@ -386,3 +392,59 @@ class TestProperties:
         f = fidelity(rho, sigma)
         assert f == fidelity(bare_rho, bare_sigma) == fidelity(rho, bare_sigma) == fidelity(bare_rho, sigma)
         assert density_invariants(rho) == density_invariants(bare_rho) == density_invariants(rho.matrix)
+
+
+class TestOverflow:
+    """Finite inputs whose arithmetic overflows are rejected by the invariant they break, without a warning."""
+
+    def test_hermitian_part_does_not_overflow(self):
+        with pytest.raises(NotPsdError) as exc:
+            validate_density(np.diag([1e308, -1e308, 1.0, 0.0]))
+        assert exc.value.min_eigenvalue == -1e308
+
+    def test_overflowing_defect_is_infinite(self):
+        assert hermiticity_defect(np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)) == np.inf
+        with pytest.raises(NotHermitianError):
+            validate_density([[0.5, 1e308], [-1e308, 0.5]], EXPERIMENTAL)
+
+    def test_overflowing_trace_is_a_trace_error(self):
+        # the float64 sum of this diagonal is NaN, which must not pass the trace check
+        with pytest.raises(BadTraceError):
+            validate_density(np.diag([1e308, 1e308, -1e308, -1e308]), EXPERIMENTAL)
+
+    def test_overflowing_unitarity_defect_is_not_ok(self):
+        assert check_unitary(1e200 * np.eye(2)) == (False, np.inf)
+
+    def test_overflowing_norm_is_not_normalized(self):
+        with pytest.raises(NotNormalizedError):
+            pure_state([1e200, 0.0])
+
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from([2, 4, 8]).flatmap(
+            lambda d: arrays(
+                complex,
+                (d, d),
+                elements=st.builds(
+                    complex,
+                    st.floats(-8.9e307, 8.9e307).filter(lambda x: x == 0 or abs(x) >= 2.0**-1021),
+                    st.floats(-8.9e307, 8.9e307).filter(lambda x: x == 0 or abs(x) >= 2.0**-1021),
+                ),
+            )
+        )
+    )
+    def test_halving_first_is_exact_where_halves_are_exact(self, a):
+        # both forms round (a + a^dag) / 2 once, unless halving an entry below 2**-1021 rounds; a zero's sign may differ
+        assert np.array_equal(_hermitian_part(a), (a + a.conj().T) / 2.0)
+
+
+def test_bad_argument_is_a_typed_value_error():
+    with pytest.raises(BadArgumentError) as exc:
+        bell_state("phi0")
+    assert isinstance(exc.value, NmrsimError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("dim, error", [(12, DimNotPowerOfTwoError), (16, WrongDimError)])
+def test_qubit_limit_is_checked_after_the_power_of_two(dim, error):
+    with pytest.raises(error):
+        validate_density(np.eye(dim) / dim)

@@ -127,3 +127,8 @@ def test_load_matrix_bad_json(tmp_path):
 def test_load_matrix_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_matrix(tmp_path / "absent.json")
+
+
+def test_load_matrix_nul_in_path():
+    with pytest.raises(ParseError, match="cannot read"):
+        load_matrix("m\0.json")

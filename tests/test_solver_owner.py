@@ -1,9 +1,12 @@
 """Every eigen-solve in the package goes through core's helpers, and every read-only mark through ``core._freeze``.
 
-``np.linalg.eigh``, ``np.linalg.eigvalsh`` and the Hermitian part
-``(a + a.conj().T) / 2`` may appear only inside them, so a new call site
-cannot skip the finiteness check, the ``NumericalFailureError`` mapping or a
-state's stored spectrum.  ``setflags`` may appear only inside ``_freeze``.
+``np.linalg.eigh``, ``np.linalg.eigvalsh`` and the Hermitian part, written
+``(a + a.conj().T) / 2`` or ``a / 2 + a.conj().T / 2``, may appear only
+inside them, so a new call site cannot skip the finiteness check, the
+``NumericalFailureError`` mapping or a state's stored spectrum.  ``setflags``
+may appear only inside ``_freeze``.  No module raises a bare ``ValueError``,
+which the CLI would not map to an exit code, and only ``core`` defines
+``MAX_QUBITS``.
 """
 
 import ast
@@ -14,11 +17,19 @@ import nmrsim
 OWNERS = {("core", "_eigh"), ("core", "_eigvalsh"), ("core", "_hermitian_part")}
 
 
+def _is_op(node, op) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+
 def _is_hermitian_part(node) -> bool:
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and isinstance(node.left, ast.BinOp)):
+    if _is_op(node, ast.Div) and _is_op(node.left, ast.Add):  # (a + a^dag) / 2
+        left, right = node.left.left, node.left.right
+    elif _is_op(node, ast.Add) and _is_op(node.left, ast.Div) and _is_op(node.right, ast.Div):  # a / 2 + a^dag / 2
+        left, right = node.left.left, node.right.left
+    else:
         return False
-    left, right = ast.unparse(node.left.left), ast.unparse(node.left.right)
-    return isinstance(node.left.op, ast.Add) and right in (f"{left}.conj().T", f"{left}.T.conj()")
+    left, right = ast.unparse(left), ast.unparse(right)
+    return right in (f"{left}.conj().T", f"{left}.T.conj()")
 
 
 def _owned_sites(module: str, tree: ast.AST, where: str = "") -> set[tuple[str, str, str]]:
@@ -33,10 +44,14 @@ def _owned_sites(module: str, tree: ast.AST, where: str = "") -> set[tuple[str, 
     return sites
 
 
+def _package_trees() -> dict[str, ast.AST]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(Path(nmrsim.__file__).parent.glob("*.py"))}
+
+
 def _package_sites() -> set[tuple[str, str, str]]:
     sites = set()
-    for path in sorted(Path(nmrsim.__file__).parent.glob("*.py")):
-        sites |= _owned_sites(path.stem, ast.parse(path.read_text()))
+    for module, tree in _package_trees().items():
+        sites |= _owned_sites(module, tree)
     return sites
 
 
@@ -48,3 +63,32 @@ def test_eigen_solves_live_in_core_helpers():
 def test_read_only_marks_live_in_core_freeze():
     sites = {site for site in _package_sites() if site[2] == "setflags"}
     assert sites == {("core", "_freeze", "setflags")}, sorted(sites)
+
+
+def test_hermitian_part_scan_flags_both_forms():
+    for src in ("(a + a.conj().T) / 2", "a / 2.0 + a.conj().T / 2.0", "(m + m.T.conj()) / 2.0"):
+        assert _is_hermitian_part(ast.parse(src, mode="eval").body), src
+    assert not _is_hermitian_part(ast.parse("a / 2 + b.conj().T / 2", mode="eval").body)
+
+
+def test_no_bare_value_error_is_raised():
+    raised = [
+        (module, node.lineno)
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "ValueError"
+    ]
+    assert raised == []
+
+
+def test_qubit_limit_is_defined_only_in_core():
+    defined = [
+        module
+        for module, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "MAX_QUBITS"
+    ]
+    assert defined == ["core"]
