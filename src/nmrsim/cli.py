@@ -73,12 +73,12 @@ def _style(text: str, code: str) -> str:
     return text
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:+.4f}{z.imag:+.4f}i"
-
-
 def _matrix_lines(m: np.ndarray, indent: str = "  ") -> list[str]:
-    return [indent + "  ".join(_fmt_complex(z) for z in row) for row in np.asarray(m, dtype=complex).tolist()]
+    """One line per row, each entry ``re+imi`` to 4 decimals with explicit signs."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    template = indent + "  ".join(["%+.4f%+.4fi"] * a.shape[1])
+    # each row as (re, im, re, im, ...): the float pairs of its complex entries
+    return [template % tuple(row) for row in a.view(float).tolist()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,7 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(path: str | None, flag: str) -> None:
+    # the OS rejects such a path with a ValueError, which maps to no exit code
+    if path is not None and "\0" in path:
+        raise BadArgumentError(f"{flag} path contains a NUL byte")
+
+
 def cmd_repro(args) -> tuple[int, dict]:
+    _check_output_path(args.export, "--export")
     report = repro.reproduce_theory()
     checks = repro.check_against_baselines(report, repro.load_baselines(args.baselines))
     all_ok = all(c.ok for c in checks)
@@ -189,6 +196,7 @@ def cmd_repro(args) -> tuple[int, dict]:
 
 
 def cmd_evolve(args) -> tuple[int, dict]:
+    _check_output_path(args.out, "--out")
     rho = validate_density(load_matrix(args.state), _PROFILES[args.profile])
     evolved = evolve(rho, validate_unitary(load_matrix(args.unitary))).matrix
     payload = {"command": "evolve", "profile": args.profile, "state": evolved}

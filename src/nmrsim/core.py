@@ -346,10 +346,13 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _sqrt_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     # Eigenvalues at or below the round-off floor d * eps * w_max are zeroed before the root.
     w, v = _eigh(rho)
-    return np.sqrt(np.where(w > len(w) * np.finfo(float).eps * w[-1], w, 0.0)), v
+    return np.sqrt(np.where(w > len(w) * _EPS * w[-1], w, 0.0)), v
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

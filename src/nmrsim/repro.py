@@ -15,13 +15,17 @@ process; ``export_dataset`` copies them byte for byte.
 ``reproduce_theory`` recomputes the evolved state, compares it entrywise with
 the stated prediction and measures experiment-vs-theory distances on states
 made physical by ``tomography.closest_physical_state``; the diagnostics record
-what was done to each.  The resulting numbers are regression-tested against
+what was done to each.  Its inputs are the read-only bundled data, so it
+computes once per process: every call returns read-only arrays and its own
+copy of the diagnostics.  ``load_baselines`` and ``export_dataset`` touch
+files that may change between calls, so they are never cached.  The
+resulting numbers are regression-tested against
 frozen baselines computed once by ``scripts/freeze_baselines.py`` with exact
 rational and 60-digit arithmetic; they are never hand-entered.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -167,7 +171,17 @@ def reproduce_theory() -> ReproReport:
     handling; the fidelity/trace-distance comparison against the measured
     after-state does, so both matrices are trace-renormalized and
     PSD-projected as needed, with the steps recorded in the diagnostics.
+
+    Computed on the first call; every call returns the same read-only
+    ``computed_rho_th`` and its own copy of ``diagnostics``.
     """
+    report = _theory()
+    return replace(report, diagnostics={name: dict(d) for name, d in report.diagnostics.items()})
+
+
+@functools.cache
+def _theory() -> ReproReport:
+    """The report :func:`reproduce_theory` copies, computed once per process from the bundled data."""
     ds = load_dataset()
     # any validation failure is a data-entry bug; each state's eigenpairs serve all that follows
     rho_initial = validate_density(ds.rho_initial, EXPERIMENTAL)

@@ -40,15 +40,28 @@ def require_number(x, where: str) -> float:
     return v
 
 
-def _parse_part(part, name: str, rows: int, cols: int) -> list[list[float]]:
+_NUMBER_TYPES = {int, float}
+
+
+def _parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(part, list) or len(part) != rows:
         raise ParseError(f'"{name}" must be a list of {rows} rows')
+    # Fast path: rows of plain JSON numbers convert in one call; any doubt goes to the
+    # per-entry loop below, which raises the error with its exact message.
+    if all(isinstance(row, list) and len(row) == cols and set(map(type, row)) <= _NUMBER_TYPES for row in part):
+        try:
+            a = np.array(part, dtype=float)
+        except OverflowError:  # a JSON integer beyond the double range
+            pass
+        else:
+            if np.isfinite(a).all():
+                return a
     out = []
     for i, row in enumerate(part):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
         out.append([require_number(x, f'"{name}"[{i}]') for x in row])
-    return out
+    return np.array(out, dtype=float)
 
 
 def matrix_from_dict(obj) -> np.ndarray:

@@ -179,15 +179,23 @@ def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
 
 
 def simplex_project(v) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+    """Euclidean projection of a real vector onto the probability simplex.
+
+    The shift ``tau`` is ``(s_k - 1) / k`` for the last ``k`` at which the ``k``-th largest entry exceeds it,
+    ``s_k`` the running sum of the ``k`` largest.  If cancellation among huge entries leaves no such ``k``,
+    that is a ``NumericalFailureError``.
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or not v.size or not np.isfinite(v).all():
         raise BadArgumentError(f"simplex projection needs a non-empty finite vector, got {v!r}")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    k = ks[u - (css - 1.0) / ks > 0][-1]
-    tau = (css[k - 1] - 1.0) / k
+    tau, s = None, 0.0
+    for k, x in enumerate(sorted(v.tolist(), reverse=True), 1):
+        s += x
+        t = (s - 1.0) / k
+        if x - t > 0:
+            tau = t
+    if tau is None:
+        raise NumericalFailureError(f"simplex projection found no threshold for {v!r}")
     return np.maximum(v - tau, 0.0)
 
 
@@ -208,8 +216,9 @@ def project_psd(h) -> DensityMatrix:
     herm = hermiticity_defect(a)
     if herm > 1e-9:
         raise NotHermitianError(herm)
-    trace_dev = abs(complex(a.trace()) - 1.0)
-    if trace_dev > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is inf or NaN; both fail the check
+        trace_dev = abs(complex(a.trace()) - 1.0)
+    if not trace_dev <= 1e-9:
         raise BadTraceError(trace_dev)
     return _project(*_eigh(a))
 
@@ -228,7 +237,8 @@ def closest_physical_state(m) -> tuple[DensityMatrix, bool, bool]:
     a = m.matrix if is_state else _as_complex_matrix(m)
     if not is_state and (herm := hermiticity_defect(a)) > EXPERIMENTAL.hermiticity_tol:
         raise NotHermitianError(herm)
-    t = complex(a.trace()).real
+    with np.errstate(over="ignore", invalid="ignore"):  # as in project_psd
+        t = complex(a.trace()).real
     if not 0.0 < t < np.inf:
         raise BadTraceError(abs(t - 1.0))
     w, v = _eigh(m if is_state else a)

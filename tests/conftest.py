@@ -42,3 +42,11 @@ def solver_calls(monkeypatch):
         counted = lambda *a, name=name, solver=solver, **kw: calls.update([name]) or solver(*a, **kw)  # noqa: E731
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def cold_repro():
+    """Drop the report ``reproduce_theory`` keeps for the process, so the test's first call computes it."""
+    from nmrsim import repro
+
+    repro._theory.cache_clear()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nmrsim.cli import _fmt_complex, _matrix_lines, build_parser, main
+from nmrsim.cli import _matrix_lines, build_parser, main
 from nmrsim.repro import reproduce_theory
 from nmrsim.separability import DEFAULT_PPT_TOL
 from nmrsim.serialize import load_matrix, matrix_to_dict, save_matrix
@@ -166,6 +166,18 @@ class TestTextOutput:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json"), "--out"], ["repro", "--export"]],
+        ids=["evolve--out", "repro--export"],
+    )
+    def test_nul_byte_in_output_path_is_usage_error(self, capsys, tmp_path, argv):
+        # the OS refuses such a path with a ValueError, which used to end in a traceback
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "a\0b"))
+        assert (code, out) == (1, "")
+        assert err == f"nmrsim: {argv[-1]} path contains a NUL byte\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_ragged_input_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "evolve", str(FIXTURES / "ragged.json"), data_path("step_matrix.json"))
         assert code == 1
@@ -525,6 +537,17 @@ class TestParserReuse:
         assert code == 0
         assert_matches_golden(out, "repro.json")
 
+    def test_baselines_are_read_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "baselines.json"
+        baselines = json.loads(Path(data_path("baselines.json")).read_text())
+        path.write_text(json.dumps(baselines))
+        assert run_cli(capsys, "repro", "--baselines", str(path))[0] == 0
+        baselines["values"]["max_dev_vs_printed_th"] = 1.0
+        path.write_text(json.dumps(baselines))
+        code, out, _ = run_cli(capsys, "repro", "--baselines", str(path), "--format", "json")
+        assert code == 2
+        assert not json.loads(out)["all_baselines_ok"]
+
     def test_parser_is_built_once(self, capsys):
         for argv in (
             ["repro", "--format", "json"],
@@ -576,13 +599,18 @@ SOLVER_COUNTS = {
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_readme_command_solver_counts(capsys, tmp_path, monkeypatch, solver_calls, argv):
+def test_readme_command_solver_counts(capsys, tmp_path, monkeypatch, cold_repro, solver_calls, argv):
     monkeypatch.chdir(tmp_path)
     row = argv[0]
     if row == "separability":
         row += " " + next((flag for flag in ("--epsilon", "--critical") if flag in argv), "STATE")
     assert run_cli(capsys, *bundled(argv))[0] == 0
     assert solver_calls == SOLVER_COUNTS[row]
+    if row == "repro":
+        # the report is computed once per process
+        solver_calls.clear()
+        assert run_cli(capsys, *bundled(argv))[0] == 0
+        assert solver_calls == {}
 
 
 @settings(deadline=None)
@@ -600,6 +628,15 @@ def test_readme_command_solver_counts(capsys, tmp_path, monkeypatch, solver_call
     )
 )
 def test_rendering_from_lists_matches_per_element_form(m):
+    def _fmt_complex(z: complex) -> str:
+        return f"{z.real:+.4f}{z.imag:+.4f}i"
+
     per_element = {"re": [[float(x) for x in row] for row in m.real], "im": [[float(x) for x in row] for row in m.imag]}
     assert json.dumps(matrix_to_dict(m)) == json.dumps({"rows": len(m), "cols": len(m), **per_element})
     assert _matrix_lines(m) == ["  " + "  ".join(_fmt_complex(z) for z in row) for row in m]
+
+
+def test_rendering_of_strided_and_real_matrices():
+    m = np.arange(12.0).reshape(3, 4) - 5.5 + 1j * np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    for a, indent in ((m.T, ""), (m[:, ::-2], "    "), (m.real, "  ")):
+        assert _matrix_lines(a, indent) == [indent + "  ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in row) for row in a]

@@ -165,6 +165,18 @@ class TestReproduceTheory:
         assert 0.0 <= report.fidelity_exp_vs_computed_th <= 1.0
         assert report.trace_distance_exp_vs_computed_th >= 0.0
 
+    def test_report_is_computed_once_and_callers_cannot_change_it(self, cold_repro):
+        first = reproduce_theory()
+        diagnostics, computed = json.dumps(first.diagnostics), first.computed_rho_th.copy()
+        first.diagnostics["rho_initial"]["trace_real"] = -1.0
+        first.diagnostics.clear()
+        with pytest.raises(ValueError, match="read-only"):
+            first.computed_rho_th[0, 0] = 0.0
+        second = reproduce_theory()
+        assert json.dumps(second.diagnostics) == diagnostics
+        assert second.computed_rho_th.tobytes() == computed.tobytes()
+        assert not second.computed_rho_th.flags.writeable
+
     def test_printed_prediction_agrees_with_computed(self):
         # informational: the printed prediction is the rounded computed state,
         # so their fidelity sits essentially at 1

@@ -82,20 +82,39 @@ def test_rejects_wrong_row_count():
         matrix_from_dict(doc)
 
 
+def _with_entry(part: str, value) -> dict:
+    """A valid 2x2 document whose ``part`` has ``value`` at row 1, column 0."""
+    doc = {"rows": 2, "cols": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    doc[part][1][0] = value
+    return doc
+
+
 def test_rejects_non_numeric_entries():
-    doc = {"rows": 1, "cols": 1, "re": [["one"]], "im": [[0.0]]}
-    with pytest.raises(ParseError):
-        matrix_from_dict(doc)
-    doc = {"rows": 1, "cols": 1, "re": [[True]], "im": [[0.0]]}
-    with pytest.raises(ParseError):
-        matrix_from_dict(doc)
+    for part in ("re", "im"):
+        for value, kind in ((True, "bool"), ("one", "str"), (None, "NoneType"), ([0.5], "list")):
+            with pytest.raises(ParseError) as exc:
+                matrix_from_dict(_with_entry(part, value))
+            assert str(exc.value) == f'"{part}"[1]: expected a number, got {kind}'
 
 
 def test_rejects_non_finite():
-    for value in (float("nan"), float("inf"), 10**400):  # the last overflows a double
-        doc = {"rows": 1, "cols": 1, "re": [[value]], "im": [[0.0]]}
-        with pytest.raises(ParseError):
-            matrix_from_dict(doc)
+    for part in ("re", "im"):
+        for value in (float("nan"), float("inf"), -float("inf"), 10**400):  # the last overflows a double
+            with pytest.raises(ParseError) as exc:
+                matrix_from_dict(_with_entry(part, value))
+            assert str(exc.value) == f'"{part}"[1]: non-finite value {value!r}'
+
+
+def test_first_bad_entry_in_document_order_is_reported():
+    # "re" before "im", rows in order, and a row's length before its entries
+    doc = _with_entry("im", "one")
+    doc["re"][1] = [0.0, float("nan")]
+    doc["re"].append([1.0])
+    with pytest.raises(ParseError, match=r'^"re"\[1\]: non-finite value nan$'):
+        matrix_from_dict({**doc, "rows": 3})
+    doc["re"][1] = [0.0, 0.5]
+    with pytest.raises(ParseError, match='^"re" row 2 is ragged: expected 2 entries$'):
+        matrix_from_dict({**doc, "rows": 3})
 
 
 def test_rejects_bad_dimensions():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -39,6 +40,21 @@ from nmrsim.tomography import (
     simplex_project,
     simulate_shot_noise,
 )
+
+
+def sorted_cumsum_simplex(v):
+    """The vectorized sort-and-cumsum simplex projection ``simplex_project`` replaced; ``None`` where it
+    finds no threshold (its ``IndexError``)."""
+    u = np.sort(v)[::-1]
+    ks = np.arange(1, v.size + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow the running sums
+        css = np.cumsum(u)
+        passing = ks[u - (css - 1.0) / ks > 0]
+        if not passing.size:
+            return None
+        k = passing[-1]
+        tau = (css[k - 1] - 1.0) / k
+        return np.maximum(v - tau, 0.0)
 
 
 def brute_force_simplex(v):
@@ -326,6 +342,36 @@ class TestProjectPsd:
         with pytest.raises(ValueError, match="non-empty finite vector"):
             simplex_project(v)
 
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308])
+            | st.floats(-1e300, 1e300).filter(lambda x: x == 0.0 or abs(x) >= 1e-300),
+            min_size=1,
+            max_size=8,
+        ).flatmap(lambda v: st.lists(st.sampled_from(v), min_size=len(v), max_size=8))  # ties
+    )
+    def test_simplex_matches_sorted_cumsum_bit_for_bit(self, v):
+        v = np.array(v)
+        want = sorted_cumsum_simplex(v)
+        if want is None:
+            with pytest.raises(NumericalFailureError, match="no threshold"):
+                simplex_project(v)
+        else:
+            assert simplex_project(v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("f", [project_psd, closest_physical_state])
+    @pytest.mark.parametrize(
+        "diagonal, error",
+        [([1e308, -1e308, 1.0, 0.0], NumericalFailureError), ([1e308, 1e308, -1e308, -1e308], BadTraceError)],
+        ids=["cancelling", "overflowing-trace"],
+    )
+    def test_overflowing_input_is_a_typed_error(self, f, diagonal, error):
+        # the first raised a raw IndexError in the simplex projection, the second warned on the trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                f(np.diag(diagonal))
+
     def test_idempotent(self):
         rng = np.random.default_rng(113)
         for _ in range(10):
@@ -447,12 +493,15 @@ class TestSpectrumReuse:
         # project_psd decomposes once and keeps the projected eigenpairs; fidelity reads both stored spectra
         assert solver_calls == {"eigh": 1, "svd": 1}
 
-    def test_reproduce_theory_solver_counts(self, solver_calls):
+    def test_reproduce_theory_solver_counts(self, cold_repro, solver_calls):
         load_dataset()  # cached after the first call
         reproduce_theory()
         # eigh: four experimental validations, whose eigenpairs the closest-physical decisions, projections
         # and diagnostics reuse; eigvalsh: trace distance; svd: two fidelities
         assert solver_calls == {"eigh": 4, "eigvalsh": 1, "svd": 2}
+        solver_calls.clear()
+        reproduce_theory()  # computed once per process
+        assert solver_calls == {}
 
     def test_matmul_reconstruction_matches_tensordot(self):
         rng = np.random.default_rng(11)
