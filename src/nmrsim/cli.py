@@ -9,7 +9,7 @@ Exit codes (stable contract):
   0  success
   1  usage error, bad argument, or unreadable or undecodable input
   2  assertion/regression failure (baseline mismatch, dimension mismatch,
-     a state of more than 3 qubits)
+     a state or unitary of more than 3 qubits)
   3  validation failure (matrix violates a state/operator invariant)
 
 Only the package's typed errors (and I/O errors) map to an exit code; any
@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", metavar="STATE_FILE", nargs="?", default=None)
     p.add_argument("--rho1", metavar="PATH", default=None, help="pure target state for --epsilon/--critical")
     p.add_argument("--epsilon", type=float, default=None, help="compose (1-e) I/d + e rho1 before testing")
-    p.add_argument("--critical", action="store_true", help="report the critical coefficient of --rho1")
+    # None, not False, when absent: cmd_separability tells the given inputs by ``is not None``
+    p.add_argument("--critical", action="store_true", default=None, help="report the critical coefficient of --rho1")
     p.add_argument("--tol", type=float, default=None, help=f"PPT tolerance (default {DEFAULT_PPT_TOL})")
     p.set_defaults(func=cmd_separability, text=_text_separability)
 
@@ -210,27 +211,23 @@ def cmd_separability(args) -> tuple[int, dict]:
     profile = _PROFILES[args.profile]
     tol = DEFAULT_PPT_TOL if args.tol is None else args.tol
     payload: dict = {"command": "separability", "tolerance": tol}
-    # Each mode reads its own inputs; a flag another mode reads is an error, not ignored.
-    if args.critical and (args.state is not None or args.epsilon is not None or args.tol is not None):
-        raise BadArgumentError("--critical takes --rho1 only, not STATE_FILE, --epsilon or --tol")
-    if args.state is not None and (args.rho1 is not None or args.epsilon is not None):
-        raise BadArgumentError("give STATE_FILE, or --epsilon with --rho1, not both")
+    # Each mode reads its own inputs, --tol aside; a flag another mode reads is an error, not ignored.
+    given = {k for k in ("state", "epsilon", "rho1", "critical") if getattr(args, k) is not None}
+    if given not in ({"state"}, {"epsilon", "rho1"}, {"critical", "rho1"}) or (args.critical and args.tol is not None):
+        raise BadArgumentError(
+            "give STATE_FILE [--tol T], or --epsilon E --rho1 FILE [--tol T], or --critical --rho1 FILE"
+        )
 
     if args.critical:
-        if args.rho1 is None:
-            raise BadArgumentError("--critical requires --rho1 FILE")
         rho1 = validate_density(load_matrix(args.rho1), profile)
         payload.update({"mode": "critical", "critical_epsilon": critical_epsilon(rho1)})
         return EXIT_OK, payload
 
     if args.state is not None:
         rho = validate_density(load_matrix(args.state), profile)
-    elif args.rho1 is not None and args.epsilon is not None:
-        rho1 = validate_density(load_matrix(args.rho1), profile)
-        rho = compose_pseudopure(args.epsilon, rho1)
-        payload["epsilon"] = args.epsilon
     else:
-        raise BadArgumentError("provide STATE_FILE, or --epsilon with --rho1")
+        rho = compose_pseudopure(args.epsilon, validate_density(load_matrix(args.rho1), profile))
+        payload["epsilon"] = args.epsilon
     conclusive = rho.n_qubits == 2
     rep = is_separable_2q(rho, tol) if conclusive else ppt_first_vs_rest(rho, tol)
     payload.update(
@@ -280,10 +277,7 @@ def cmd_ensemble(args) -> tuple[int, dict]:
         "density": density_of(history).matrix,
     }
     if history.dim == 4:
-        payload["members"] = [
-            {"weight": m.weight, "concurrence": m.concurrence, "is_product": m.is_product}
-            for m in entanglement_report(history).members
-        ]
+        payload["members"] = [m._asdict() for m in entanglement_report(history).members]
     return EXIT_OK, payload
 
 

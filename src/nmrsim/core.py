@@ -271,8 +271,9 @@ def check_unitary(m, tol: float = 1e-10) -> tuple[bool, float]:
 
 
 def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
-    """Wrap ``m`` as a :class:`UnitaryOperator`, or raise ``NotUnitaryError``."""
+    """Wrap ``m`` as a :class:`UnitaryOperator` of 1 to ``MAX_QUBITS`` qubits, or raise ``NotUnitaryError``."""
     a = _as_complex_matrix(m)
+    _n_qubits_for(len(a))
     ok, defect = _unitarity(a, tol)
     if not ok:
         raise NotUnitaryError(defect)
@@ -292,7 +293,9 @@ def pure_state(amplitudes) -> PureState:
 
 
 def basis_state(n_qubits: int, index: int) -> PureState:
-    """Computational basis state |index> of ``n_qubits`` qubits."""
+    """Computational basis state |index> of ``n_qubits`` qubits, 1 to ``MAX_QUBITS``."""
+    if not 1 <= n_qubits <= MAX_QUBITS:  # before the shift, which a negative or huge count breaks
+        raise WrongDimError(f"basis states have 1 to {MAX_QUBITS} qubits, got {n_qubits}")
     dim = 1 << n_qubits
     if not 0 <= index < dim:
         raise IndexError(f"basis index {index} out of range for dimension {dim}")

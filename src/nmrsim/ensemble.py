@@ -18,7 +18,7 @@ from nmrsim.core import (
     validate_density,
 )
 from nmrsim.errors import BadArgumentError, DimMismatchError, NotNormalizedError, ParseError, WrongDimError
-from nmrsim.serialize import require_number
+from nmrsim.serialize import require_number, require_numbers
 
 __all__ = [
     "PRODUCT_CONCURRENCE_TOL",
@@ -126,9 +126,8 @@ def history_from_dict(obj) -> EnsembleHistory:
         re, im = entry["re"], entry["im"]
         if not isinstance(re, list) or not isinstance(im, list) or len(re) != len(im):
             raise ParseError(f'member {i}: "re" and "im" must be equal-length lists')
-        where_re, where_im = f'member {i} "re"', f'member {i} "im"'
-        re = [require_number(x, where_re) for x in re]
-        im = [require_number(x, where_im) for x in im]
+        require_numbers(re, f'member {i} "re"')
+        require_numbers(im, f'member {i} "im"')
         amps = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
         members.append((w, pure_state(amps)))
     return EnsembleHistory(label, tuple(members))

@@ -82,6 +82,7 @@ def extract_epsilon(rho: DensityMatrix, rho1: DensityMatrix) -> EpsilonEstimate:
     """
     if rho.dim != rho1.dim:
         raise DimMismatchError(f"state dims differ: {rho.dim} != {rho1.dim}")
+    _require_finite(rho.matrix)  # a NaN overlap would be returned as an out-of-model estimate
     _require_pure(rho1)
     d = rho.dim
     overlap = float(np.trace(rho.matrix @ rho1.matrix).real)

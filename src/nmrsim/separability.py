@@ -79,11 +79,10 @@ def critical_epsilon(rho1: DensityMatrix) -> float:
 
     The partial transpose of the mixture has eigenvalues
     ``(1-e)/4 + e mu_i`` with ``mu_i`` the partial-transpose eigenvalues of
-    ``rho1``, so the threshold is ``min(1, 1 / (1 - 4 mu_min))``.
+    ``rho1``, so the threshold is ``min(1, 1 / (1 - 4 mu_min))``.  ``mu_min``
+    is read from :func:`is_separable_2q`, which also rejects any state but a
+    2-qubit one; a mixed ``rho1`` is then rejected as not pure.
     """
-    if rho1.dim != 4:
-        raise WrongDimError(f"critical coefficient is defined for 2 qubits, got dim {rho1.dim}")
+    lam_min = is_separable_2q(rho1).min_eigenvalue
     _require_pure(rho1)
-    lam_min = float(_eigvalsh(partial_transpose(rho1, 1)).min())
     return min(1.0, 1.0 / (1.0 - rho1.dim * lam_min))
-

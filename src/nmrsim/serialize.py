@@ -1,7 +1,9 @@
 """Repo-wide JSON wire format for complex matrices.
 
 Schema: ``{"rows": int, "cols": int, "re": [[float, ...], ...],
-"im": [[float, ...], ...]}``, row-major.  Ragged rows are rejected.
+"im": [[float, ...], ...]}``, row-major.  Ragged rows are rejected.  Matrix
+rows and history amplitudes (:mod:`nmrsim.ensemble`) share one rule for JSON
+number lists, :func:`require_numbers`.
 """
 
 import json
@@ -12,7 +14,8 @@ import numpy as np
 
 from nmrsim.errors import ParseError
 
-__all__ = ["require_number", "matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix", "load_json"]
+__all__ = ["require_number", "require_numbers", "matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix",
+           "load_json"]
 
 
 def matrix_to_dict(m) -> dict:
@@ -40,28 +43,28 @@ def require_number(x, where: str) -> float:
     return v
 
 
-_NUMBER_TYPES = {int, float}
+def require_numbers(values: list, where: str) -> None:
+    """Raise :func:`require_number`'s ``ParseError`` for the first entry of ``values`` that is not a finite JSON number.
+
+    Only a list that fails one pass over the types and one over the values is checked entry by entry.
+    """
+    try:
+        if set(map(type, values)) <= {int, float} and all(map(math.isfinite, values)):
+            return
+    except OverflowError:  # a JSON integer beyond the double range
+        pass
+    for x in values:
+        require_number(x, where)
 
 
 def _parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(part, list) or len(part) != rows:
         raise ParseError(f'"{name}" must be a list of {rows} rows')
-    # Fast path: rows of plain JSON numbers convert in one call; any doubt goes to the
-    # per-entry loop below, which raises the error with its exact message.
-    if all(isinstance(row, list) and len(row) == cols and set(map(type, row)) <= _NUMBER_TYPES for row in part):
-        try:
-            a = np.array(part, dtype=float)
-        except OverflowError:  # a JSON integer beyond the double range
-            pass
-        else:
-            if np.isfinite(a).all():
-                return a
-    out = []
     for i, row in enumerate(part):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
-        out.append([require_number(x, f'"{name}"[{i}]') for x in row])
-    return np.array(out, dtype=float)
+        require_numbers(row, f'"{name}"[{i}]')
+    return np.array(part, dtype=float)
 
 
 def matrix_from_dict(obj) -> np.ndarray:

@@ -231,6 +231,18 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "dim, code, message",
+        [(3, 3, "validation failure: dimension 3 is not a power of two >= 2"),
+         (16, 2, "at most 3 qubits are supported, got 4 (dimension 16)")],
+    )
+    def test_unitary_gets_the_qubit_rule(self, capsys, tmp_path, dim, code, message):
+        # as a state of that size does; a 3x3 unitary used to exit 2 as a dimension mismatch
+        path = tmp_path / "unitary.json"
+        save_matrix(np.eye(dim, dtype=complex), path)
+        got, out, err = run_cli(capsys, "evolve", data_path("maximally_mixed_2q.json"), str(path))
+        assert (got, out, err) == (code, "", f"nmrsim: {message}\n")
+
     def test_too_many_qubits_is_dimension_error(self, capsys, tmp_path):
         # the same exit as separability gives a 4-qubit state: an unsupported dimension, not a usage error
         big = tmp_path / "four_qubits.json"
@@ -370,9 +382,13 @@ class TestExitCodes:
             ["--epsilon", "0.2"],
             ["--critical", "--rho1", "bell_state.json", "--tol", "1e-3"],
             ["--critical"],
+            ["--rho1", "bell_state.json"],
+            ["--tol", "1e-3"],
+            ["maximally_mixed_2q.json", "--critical", "--epsilon", "0.2", "--rho1", "bell_state.json", "--tol", "1e-3"],
         ],
         ids=["state+epsilon+rho1", "state+rho1", "state+epsilon", "critical+state", "critical+epsilon",
-             "epsilon-without-rho1", "critical+tol", "critical-without-rho1"],
+             "epsilon-without-rho1", "critical+tol", "critical-without-rho1", "rho1-alone", "tol-alone",
+             "every-input"],
     )
     def test_conflicting_separability_inputs_are_usage_errors(self, capsys, argv):
         # each input mode must not silently drop another mode's flags
@@ -380,7 +396,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "separability", *argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("nmrsim: ")
+        assert err == (
+            "nmrsim: give STATE_FILE [--tol T], or --epsilon E --rho1 FILE [--tol T], or --critical --rho1 FILE\n"
+        )
+
+    def test_zero_epsilon_is_given(self, capsys):
+        # 0.0 is falsy, but --epsilon 0 is an input: the mode check must not read it as absent
+        code, out, _ = run_cli(
+            capsys, "separability", "--epsilon", "0", "--rho1", data_path("bell_state.json"), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["epsilon"] == 0.0
 
     @pytest.mark.parametrize(
         "table, name", [("tolerances", "fidelity_exp_vs_computed_th"), (None, "documented_ceiling_max_dev")]

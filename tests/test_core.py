@@ -291,6 +291,13 @@ class TestCheckUnitary:
             validate_unitary(np.eye(2) * 2)
         assert exc.value.defect == pytest.approx(3.0)
 
+    def test_validate_unitary_applies_the_qubit_rule(self):
+        # a permutation is unitary at any size; only the dimension is wrong here
+        with pytest.raises(DimNotPowerOfTwoError, match="dimension 3 is not a power of two"):
+            validate_unitary(np.eye(3))
+        with pytest.raises(WrongDimError, match="at most 3 qubits are supported, got 4"):
+            validate_unitary(np.eye(16))
+
 
 class TestPureStates:
     def test_norm_enforced(self):
@@ -311,6 +318,12 @@ class TestPureStates:
     def test_basis_index_out_of_range(self):
         with pytest.raises(IndexError, match="basis index 4 out of range for dimension 4"):
             basis_state(2, 4)
+
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 4, 10**6])
+    def test_basis_state_qubit_count_out_of_range(self, n_qubits):
+        # a negative count used to escape as the shift's raw ValueError, 0 and 4 to give dims 1 and 16
+        with pytest.raises(WrongDimError, match=f"basis states have 1 to 3 qubits, got {n_qubits}$"):
+            basis_state(n_qubits, 0)
 
     def test_bell_states_normalized_and_orthogonal(self):
         kinds = ["phi+", "phi-", "psi+", "psi-"]

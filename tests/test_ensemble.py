@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -191,3 +192,23 @@ def test_history_rejects_non_finite_numbers(member):
     doc = json.loads(f'{{"label": "bad", "members": [{member}]}}')
     with pytest.raises(ParseError, match="non-finite"):
         history_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "part, value, message",
+    [
+        ("re", "0", 'member 1 "re": expected a number, got str'),
+        ("im", True, 'member 1 "im": expected a number, got bool'),
+        ("re", [0.0], 'member 1 "re": expected a number, got list'),
+        ("im", math.nan, 'member 1 "im": non-finite value nan'),
+        ("re", -math.inf, 'member 1 "re": non-finite value -inf'),
+        ("im", 10**400, f'member 1 "im": non-finite value {10**400!r}'),
+    ],
+)
+def test_history_amplitude_messages(part, value, message):
+    # the first bad amplitude is named by member, part and value; weight and keys are checked before
+    members = [{"weight": 0.5, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]} for _ in range(2)]
+    members[1][part] = [0.0, 0.0, value, 0.0]
+    with pytest.raises(ParseError) as exc:
+        history_from_dict({"label": "bad", "members": members})
+    assert str(exc.value) == message

@@ -35,6 +35,14 @@ def test_non_finite_target_is_numerical_failure(call):
         call(DensityMatrix(m, 4, 2))
 
 
+def test_non_finite_state_is_numerical_failure():
+    # a NaN overlap used to come back as EpsilonEstimate(nan, True)
+    m = density_from_pure(bell_state("phi+")).matrix.copy()
+    m[0, 1] = np.nan
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        extract_epsilon(DensityMatrix(m, 4, 2), density_from_pure(bell_state("phi+")))
+
+
 class TestCompose:
     def test_full_weight_returns_target(self):
         rho1 = density_from_pure(basis_state(2, 0))

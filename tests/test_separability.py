@@ -201,3 +201,6 @@ class TestCriticalEpsilon:
     def test_requires_two_qubits(self):
         with pytest.raises(WrongDimError):
             critical_epsilon(density_from_pure(basis_state(1, 0)))
+        # the dimension is checked before purity: a 3-qubit mixed target is the wrong size, not impure
+        with pytest.raises(WrongDimError):
+            critical_epsilon(validate_density(np.eye(8) / 8, STRICT))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from nmrsim.ensemble import history_from_dict
 from nmrsim.errors import NmrsimError, ParseError
-from nmrsim.serialize import load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
+from nmrsim.serialize import _parse_part, load_matrix, matrix_from_dict, matrix_to_dict, require_number, save_matrix
 
 # Everything json.loads can return.
 json_values = st.recursive(
@@ -115,6 +117,51 @@ def test_first_bad_entry_in_document_order_is_reported():
     doc["re"][1] = [0.0, 0.5]
     with pytest.raises(ParseError, match='^"re" row 2 is ragged: expected 2 entries$'):
         matrix_from_dict({**doc, "rows": 3})
+
+
+def _two_path_parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
+    """The matrix-part parser before the JSON number-list rule had one implementation, kept as the oracle."""
+    if not isinstance(part, list) or len(part) != rows:
+        raise ParseError(f'"{name}" must be a list of {rows} rows')
+    if all(isinstance(row, list) and len(row) == cols and set(map(type, row)) <= {int, float} for row in part):
+        try:
+            a = np.array(part, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(a).all():
+                return a
+    out = []
+    for i, row in enumerate(part):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
+        out.append([require_number(x, f'"{name}"[{i}]') for x in row])
+    return np.array(out, dtype=float)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.sampled_from([0.0, -0.0])
+_ENTRIES = _FINITE | st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, "0.5", None, [0.5],
+     np.float64(0.25), np.float64(-0.0), np.float64(math.nan), np.float32(0.1), np.int64(3)]
+)
+# mostly well-formed 3-entry rows, so that whole parts parse often enough to compare their arrays
+_ROWS = st.lists(_FINITE, min_size=3, max_size=3) | st.lists(_ENTRIES, min_size=2, max_size=4) | _ENTRIES
+
+
+def _outcome(parse, part):
+    try:
+        a = parse(part, "re", 3, 3)
+    except ParseError as exc:
+        return str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@given(st.lists(_ROWS, min_size=3, max_size=3) | st.lists(_ROWS, min_size=2, max_size=4) | _ENTRIES)
+@example([[0.0, -0.0, 1], [-0.0, 2**63, -(2**70)], [np.float64(-0.0), 0.5, 3]])
+@example([[0.5, 0.5, 0.5], [0.5, 0.5, 10**400], [0.5, 0.5]])
+def test_parse_part_matches_the_two_path_oracle(part):
+    # the same bit-identical array, or the same first error message, as the parser it replaced
+    assert _outcome(_parse_part, part) == _outcome(_two_path_parse_part, part)
 
 
 def test_rejects_bad_dimensions():
