@@ -7,20 +7,28 @@ OLD_SRC and NEW_SRC are ``src`` directories (for example of a ``git
 archive`` of the parent commit and of the working tree).  Each command runs
 as ``python -m nmrsim.cli`` with that tree first on ``PYTHONPATH``, from one
 scratch directory holding the generated inputs, so the two runs see the same
-paths.  The commands are the README examples in both formats, malformed
-matrix and history files, unitaries of the wrong size, and the combinations
-of ``separability`` inputs.  For each command whose exit code, stdout or
-stderr differs, the script prints both sides; it exits 1 if any differs.
+paths.  The commands are the ``nmrsim`` lines of README's "Command line"
+block (the ones ``tests/test_cli.py`` runs) in both formats, with their
+``src/nmrsim/data/`` paths read from NEW_SRC; seeded 2- and 3-qubit states
+through ``tomography --shots 1000`` in both formats; an experimental-profile
+state whose Pauli expectation exceeds 1; malformed matrix and history files;
+unitaries of the wrong size; and the combinations of ``separability`` inputs.
+For each command whose exit code, stdout or stderr differs, the script
+prints both sides; it exits 1 if any differs.
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+
+SEEDS = (1, 2)
 
 
 def _matrix(m) -> dict:
@@ -53,6 +61,14 @@ def _inputs(work: Path) -> dict:
     docs["unitary-3"] = _matrix(np.eye(3))
     docs["unitary-16"] = _matrix(np.eye(16))
     docs["mixed-3q"] = _matrix(np.eye(8) / 8)
+    # experimental-valid (min eigenvalue -0.04), yet <IZ> = 1.08
+    docs["over-range"] = _matrix(np.diag([1.04, -0.04, 0.0, 0.0]))
+    rng = np.random.default_rng(0)
+    for n in (2, 3):
+        for seed in SEEDS:
+            g = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+            m = g @ g.conj().T
+            docs[f"gen-{n}q-{seed}"] = _matrix(m / np.trace(m).real)
     paths = {}
     for name, doc in docs.items():
         paths[name] = work / f"{name}.json"
@@ -73,25 +89,25 @@ def _inputs(work: Path) -> dict:
     return {k: str(v) for k, v in paths.items()}
 
 
-def _commands(data: Path, work: Path, f: dict) -> list:
+def _readme_commands(data: Path) -> list:
+    """The arguments of every ``nmrsim`` line in README's "Command line" block, bundled paths read from ``data``."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    prefix = "src/nmrsim/data/"
+    return [[str(data / a[len(prefix):]) if a.startswith(prefix) else a for a in words[1:]]
+            for words in lines if words[:1] == ["nmrsim"]]
+
+
+def _commands(data: Path, f: dict) -> list:
     d = {p.stem: str(p) for p in data.glob("*.json")}
-    readme = [
-        ["repro"],
-        ["repro", "--export", str(work / "exported")],
-        ["evolve", d["maximally_mixed_2q"], d["step_matrix"]],
-        ["evolve", d["rho_initial"], d["step_matrix"], "--profile", "experimental",
-         "--out", str(work / "evolved.json")],
-        ["separability", d["maximally_mixed_2q"]],
-        ["separability", "--epsilon", "0.2", "--rho1", d["bell_state"]],
-        ["separability", "--critical", "--rho1", d["bell_state"]],
-        ["separability", d["ghz3"]],
-        ["tomography", d["maximally_mixed_2q"], "--shots", "0"],
-        ["tomography", d["rho_initial"], "--shots", "100000", "--seed", "7", "--profile", "experimental"],
-        ["ensemble", d["basis_mixture"]],
-        ["ensemble", d["bell_mixture"]],
-    ]
-    commands = [argv + ["--format", fmt] for argv in readme for fmt in ("text", "json")]
-    matrices = [k for k in f if not k.startswith(("h-", "unitary-", "mixed-"))]
+    formatted = _readme_commands(data)
+    formatted += [["tomography", f[f"gen-{n}q-{seed}"], "--shots", "1000", "--seed", str(seed)]
+                  for n in (2, 3) for seed in SEEDS]
+    commands = [argv + ["--format", fmt] for argv in formatted for fmt in ("text", "json")]
+    commands += [["tomography", f["over-range"], "--profile", "experimental"] + shots
+                 for shots in (["--shots", "0"], ["--shots", "100", "--seed", "1"])]
+    matrices = [k for k in f if not k.startswith(("h-", "unitary-", "mixed-", "over-", "gen-"))]
     commands += [["evolve", f[k], d["step_matrix"]] for k in matrices]
     commands += [["ensemble", f[k]] for k in f if k.startswith("h-")]
     commands += [["evolve", d["maximally_mixed_2q"], f[k]] for k in ("unitary-3", "unitary-16")]
@@ -118,7 +134,7 @@ def main() -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        commands = _commands(Path(new) / "nmrsim" / "data", work, _inputs(work))
+        commands = _commands(Path(new) / "nmrsim" / "data", _inputs(work))
         for argv in commands:
             a, b = _run(old, argv, work), _run(new, argv, work)
             if a != b:

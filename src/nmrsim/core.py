@@ -6,6 +6,7 @@ operations are pure functions: inputs are never mutated, wrapped arrays are
 marked read-only, and values can be shared freely between threads.  Every
 eigen-solve in the package goes through ``_eigh`` or ``_eigvalsh`` here, on
 the Hermitian part of a matrix; ``_eigh`` returns a state's stored eigenpairs.
+The trace and the hermiticity defect are measured only by ``_trace_and_defect``.
 """
 
 import math
@@ -51,7 +52,6 @@ __all__ = [
     "trace_distance",
     "tensor",
     "check_unitary",
-    "hermiticity_defect",
 ]
 
 
@@ -166,10 +166,10 @@ def _n_qubits_for(dim: int) -> int:
     return n
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |m_jk - conj(m_kj)| over all entries; ``inf`` if a difference overflows."""
-    with np.errstate(over="ignore"):  # an overflow is an infinite defect, which every tolerance rejects
-        return float(np.abs(m - m.conj().T).max())
+def _trace_and_defect(a: np.ndarray) -> tuple[complex, float]:
+    """The trace and hermiticity defect ``max |a_jk - conj(a_kj)|`` of a square array; the only code measuring either."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN, which fails every tolerance
+        return complex(a.trace()), float(np.abs(a - a.conj().T).max())
 
 
 def _require_finite(m: np.ndarray) -> None:
@@ -214,8 +214,7 @@ def density_invariants(m) -> DensityInvariants:
     """
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     w, _ = _eigh(m if isinstance(m, DensityMatrix) else a)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is inf or NaN; both fail the trace check
-        return DensityInvariants(complex(a.trace()), hermiticity_defect(a), float(w[0]))
+    return DensityInvariants(*_trace_and_defect(a), float(w[0]))
 
 
 def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
@@ -246,16 +245,17 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
 
 def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -> DensityMatrix:
     """:func:`validate_density` of a private finite square array; a given ``spectrum`` must be its Hermitian part's."""
-    rho = DensityMatrix(_freeze(a), len(a), _n_qubits_for(len(a)), spectrum or _eigh(a))
-    inv = density_invariants(rho)
-    if inv.hermiticity_defect > profile.hermiticity_tol:
-        raise NotHermitianError(inv.hermiticity_defect)
-    trace_dev = abs(inv.trace - 1.0)
+    n = _n_qubits_for(len(a))
+    w, v = spectrum or _eigh(a)
+    trace, defect = _trace_and_defect(a)
+    if defect > profile.hermiticity_tol:
+        raise NotHermitianError(defect)
+    trace_dev = abs(trace - 1.0)
     if not trace_dev <= profile.trace_tol:  # NaN fails too
         raise BadTraceError(trace_dev)
-    if inv.min_eigenvalue < -profile.psd_tol:
-        raise NotPsdError(inv.min_eigenvalue)
-    return rho
+    if w[0] < -profile.psd_tol:
+        raise NotPsdError(w[0])
+    return DensityMatrix(_freeze(a), len(a), n, (w, v))
 
 
 def _unitarity(a: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -292,8 +292,15 @@ def pure_state(amplitudes) -> PureState:
     return PureState(_freeze(v), v.size)
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def basis_state(n_qubits: int, index: int) -> PureState:
     """Computational basis state |index> of ``n_qubits`` qubits, 1 to ``MAX_QUBITS``."""
+    if not (_is_integer(n_qubits) and _is_integer(index)):
+        raise BadArgumentError(f"basis state qubit count and index must be integers, got {n_qubits!r} and {index!r}")
     if not 1 <= n_qubits <= MAX_QUBITS:  # before the shift, which a negative or huge count breaks
         raise WrongDimError(f"basis states have 1 to {MAX_QUBITS} qubits, got {n_qubits}")
     dim = 1 << n_qubits

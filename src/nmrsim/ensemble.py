@@ -18,7 +18,7 @@ from nmrsim.core import (
     validate_density,
 )
 from nmrsim.errors import BadArgumentError, DimMismatchError, NotNormalizedError, ParseError, WrongDimError
-from nmrsim.serialize import require_number, require_numbers
+from nmrsim.serialize import _complex_array, require_number, require_numbers
 
 __all__ = [
     "PRODUCT_CONCURRENCE_TOL",
@@ -128,6 +128,5 @@ def history_from_dict(obj) -> EnsembleHistory:
             raise ParseError(f'member {i}: "re" and "im" must be equal-length lists')
         require_numbers(re, f'member {i} "re"')
         require_numbers(im, f'member {i} "im"')
-        amps = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-        members.append((w, pure_state(amps)))
+        members.append((w, pure_state(_complex_array(re, im))))
     return EnsembleHistory(label, tuple(members))

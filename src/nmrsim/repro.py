@@ -42,7 +42,7 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
-from nmrsim.errors import ParseError
+from nmrsim.errors import BadArgumentError, ParseError
 from nmrsim.serialize import load_json, load_matrix, require_number
 from nmrsim.tomography import closest_physical_state
 
@@ -233,7 +233,10 @@ def export_dataset(directory) -> list[Path]:
     Returns the written paths.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL byte in the path; every later write is inside the directory made here
+        raise BadArgumentError(f"cannot write {str(directory)!r}: {exc}") from exc
     written = []
     for name in load_json(_DATA / "metadata.json")["files"] + ["metadata.json"]:
         path = directory / name

@@ -3,7 +3,8 @@
 Schema: ``{"rows": int, "cols": int, "re": [[float, ...], ...],
 "im": [[float, ...], ...]}``, row-major.  Ragged rows are rejected.  Matrix
 rows and history amplitudes (:mod:`nmrsim.ensemble`) share one rule for JSON
-number lists, :func:`require_numbers`.
+number lists, :func:`require_numbers`, and one construction of their complex
+values, ``_complex_array``.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nmrsim.errors import ParseError
+from nmrsim.errors import BadArgumentError, ParseError
 
 __all__ = ["require_number", "require_numbers", "matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix",
            "load_json"]
@@ -77,12 +78,14 @@ def matrix_from_dict(obj) -> np.ndarray:
     for label, v in (("rows", rows), ("cols", cols)):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ParseError(f'"{label}" must be a positive integer')
-    re = _parse_part(obj["re"], "re", rows, cols)
-    im = _parse_part(obj["im"], "im", rows, cols)
-    # assigned, not added (re + 1j*im), so the sign of a zero survives
-    m = np.array(re, dtype=complex)
-    m.imag = im
-    return m
+    return _complex_array(_parse_part(obj["re"], "re", rows, cols), _parse_part(obj["im"], "im", rows, cols))
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """``re + i im``, the imaginary part assigned, not added as ``1j * im``, so the sign of a zero survives."""
+    z = np.asarray(re, dtype=float).astype(complex)
+    z.imag = im
+    return z
 
 
 def load_json(path) -> object:
@@ -102,4 +105,8 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(m, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(m), indent=2) + "\n")
+    text = json.dumps(matrix_to_dict(m), indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except ValueError as exc:  # a NUL byte in the path
+        raise BadArgumentError(f"cannot write {str(path)!r}: {exc}") from exc

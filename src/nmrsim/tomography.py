@@ -44,10 +44,11 @@ from nmrsim.core import (
     _eigh,
     _freeze,
     _hermitian_part,
-    hermiticity_defect,
+    _is_integer,
+    _trace_and_defect,
     tensor,
 )
-from nmrsim.errors import BadArgumentError, BadTraceError, NotHermitianError, NumericalFailureError
+from nmrsim.errors import BadArgumentError, BadTraceError, NotHermitianError, NumericalFailureError, ValidationError
 
 __all__ = [
     "PauliExpectationSet",
@@ -97,7 +98,8 @@ class PauliExpectationSet:
 
     ``values`` is a read-only float64 array of length ``4^n``: ``values[k]``
     belongs to ``pauli_labels(n_qubits)[k]``.  Invariants: the identity entry
-    ``values[0]`` is exactly 1, and every magnitude is at most ``1 + 1e-12``.
+    ``values[0]`` is exactly 1, and every magnitude is at most ``1 + 1e-12``
+    (else a ``ValidationError``: an experimental-profile state can exceed it).
     """
 
     n_qubits: int
@@ -117,7 +119,7 @@ class PauliExpectationSet:
         ok = np.abs(v) <= 1.0 + 1e-12  # NaN fails too
         if not ok.all():
             k = int(np.flatnonzero(~ok)[0])
-            raise BadArgumentError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
+            raise ValidationError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
         object.__setattr__(self, "values", _freeze(v))
 
 
@@ -128,9 +130,9 @@ class ShotNoiseConfig:
 
     def __post_init__(self):
         s = self.shots_per_observable
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 2**63 - 1:
+        if not _is_integer(s) or not 1 <= s <= 2**63 - 1:
             raise BadArgumentError(f"shots must be an integer in [1, 2**63 - 1], got {s!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise BadArgumentError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
@@ -213,12 +215,11 @@ def project_psd(h) -> DensityMatrix:
     within 1e-9.
     """
     a = _as_complex_matrix(h)
-    herm = hermiticity_defect(a)
-    if herm > 1e-9:
-        raise NotHermitianError(herm)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is inf or NaN; both fail the check
-        trace_dev = abs(complex(a.trace()) - 1.0)
-    if not trace_dev <= 1e-9:
+    trace, defect = _trace_and_defect(a)
+    if defect > 1e-9:
+        raise NotHermitianError(defect)
+    trace_dev = abs(trace - 1.0)
+    if not trace_dev <= 1e-9:  # NaN fails too
         raise BadTraceError(trace_dev)
     return _project(*_eigh(a))
 
@@ -235,10 +236,10 @@ def closest_physical_state(m) -> tuple[DensityMatrix, bool, bool]:
     """
     is_state = isinstance(m, DensityMatrix)
     a = m.matrix if is_state else _as_complex_matrix(m)
-    if not is_state and (herm := hermiticity_defect(a)) > EXPERIMENTAL.hermiticity_tol:
-        raise NotHermitianError(herm)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in project_psd
-        t = complex(a.trace()).real
+    trace, defect = _trace_and_defect(a)
+    if not is_state and defect > EXPERIMENTAL.hermiticity_tol:
+        raise NotHermitianError(defect)
+    t = trace.real
     if not 0.0 < t < np.inf:
         raise BadTraceError(abs(t - 1.0))
     w, v = _eigh(m if is_state else a)

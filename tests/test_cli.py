@@ -190,6 +190,15 @@ class TestExitCodes:
         assert out == ""
         assert "validation" in err.lower()
 
+    @pytest.mark.parametrize("shots", [["--shots", "0"], ["--shots", "100", "--seed", "1"]], ids=["exact", "shots"])
+    def test_experimental_state_beyond_pauli_range_is_validation_failure(self, capsys, tmp_path, shots):
+        # experimental-valid (min eigenvalue -0.04), yet <IZ> = 1.08: the input breaks an invariant, not the usage
+        state = tmp_path / "over_range.json"
+        save_matrix(np.diag([1.04, -0.04, 0.0, 0.0]), state)
+        code, out, err = run_cli(capsys, "tomography", str(state), "--profile", "experimental", *shots)
+        assert (code, out) == (3, "")
+        assert err == "nmrsim: validation failure: expectation IZ = 1.08 exceeds magnitude 1\n"
+
     def test_experimental_profile_accepts_printed_state(self, capsys):
         code, _, _ = run_cli(
             capsys,

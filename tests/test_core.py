@@ -19,7 +19,6 @@ from nmrsim.core import (
     density_invariants,
     evolve,
     fidelity,
-    hermiticity_defect,
     pure_state,
     purity,
     tensor,
@@ -319,6 +318,18 @@ class TestPureStates:
         with pytest.raises(IndexError, match="basis index 4 out of range for dimension 4"):
             basis_state(2, 4)
 
+    @pytest.mark.parametrize(
+        "n_qubits, index", [(2.0, 0), (2, 1.5), (True, 1)], ids=["float-count", "float-index", "bool-count"]
+    )
+    def test_basis_state_non_integer_argument(self, n_qubits, index):
+        # otherwise a float count fails in the shift, a float index in numpy's indexing, and True counts as 1 qubit
+        with pytest.raises(BadArgumentError, match="must be integers"):
+            basis_state(n_qubits, index)
+
+    def test_basis_state_accepts_numpy_integers(self):
+        psi = basis_state(np.int64(2), np.int32(3))
+        assert psi.dim == 4 and psi.amplitudes[3] == 1.0
+
     @pytest.mark.parametrize("n_qubits", [-1, 0, 4, 10**6])
     def test_basis_state_qubit_count_out_of_range(self, n_qubits):
         # a negative count used to escape as the shift's raw ValueError, 0 and 4 to give dims 1 and 16
@@ -416,7 +427,7 @@ class TestOverflow:
         assert exc.value.min_eigenvalue == -1e308
 
     def test_overflowing_defect_is_infinite(self):
-        assert hermiticity_defect(np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)) == np.inf
+        assert density_invariants(np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)).hermiticity_defect == np.inf
         with pytest.raises(NotHermitianError):
             validate_density([[0.5, 1e308], [-1e308, 0.5]], EXPERIMENTAL)
 

@@ -180,6 +180,14 @@ def test_history_json_round_trip():
     assert max_abs_diff(density_of(again).matrix, density_of(h).matrix) == 0.0
 
 
+def test_history_amplitudes_keep_the_sign_of_a_zero():
+    # as in matrix_from_dict: adding 1j * im would turn the -0.0 imaginary part into +0.0
+    h = history_from_dict({"label": "x", "members": [{"weight": 1, "re": [1, 0, 0, 0], "im": [0, -0.0, 0, 0]}]})
+    amps = h.members[0][1].amplitudes
+    assert np.signbit(amps.imag).tolist() == [False, True, False, False]
+    assert not np.signbit(amps.real).any()
+
+
 @pytest.mark.parametrize(
     "member",
     [

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import max_abs_diff
 from nmrsim.core import EXPERIMENTAL, check_unitary, validate_density
-from nmrsim.errors import ParseError
+from nmrsim.errors import BadArgumentError, ParseError
 from nmrsim.repro import (
     check_against_baselines,
     export_dataset,
@@ -201,6 +201,12 @@ class TestExportAndBaselines:
         assert np.array_equal(load_matrix(tmp_path / "step_matrix.json"), ds.c_corrected.matrix)
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert "{1/4}{3I/4}" in meta["notes"]
+
+    def test_export_to_nul_byte_path_is_a_bad_argument(self, tmp_path):
+        # the OS refuses such a path with a ValueError, which no exit code maps; library callers get the typed error too
+        with pytest.raises(BadArgumentError, match="embedded null byte"):
+            export_dataset(tmp_path / "a\0b")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bundled_dataset_matches_independent_transcription(self):
         # scripts/freeze_baselines.py re-transcribes the printed values as

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
 from nmrsim.ensemble import history_from_dict
-from nmrsim.errors import NmrsimError, ParseError
+from nmrsim.errors import BadArgumentError, NmrsimError, ParseError
 from nmrsim.serialize import _parse_part, load_matrix, matrix_from_dict, matrix_to_dict, require_number, save_matrix
 
 # Everything json.loads can return.
@@ -198,3 +198,10 @@ def test_load_matrix_missing_file(tmp_path):
 def test_load_matrix_nul_in_path():
     with pytest.raises(ParseError, match="cannot read"):
         load_matrix("m\0.json")
+
+
+def test_save_matrix_nul_in_path(tmp_path):
+    # the OS refuses such a path with a ValueError, which no exit code maps; library callers get the typed error too
+    with pytest.raises(BadArgumentError, match="cannot write .*embedded null byte"):
+        save_matrix(np.eye(2) / 2, tmp_path / "m\0.json")
+    assert list(tmp_path.iterdir()) == []

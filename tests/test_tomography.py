@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import densities, max_abs_diff, random_density
 from nmrsim.core import (
@@ -15,13 +16,17 @@ from nmrsim.core import (
     basis_state,
     bell_state,
     density_from_pure,
+    density_invariants,
     fidelity,
     validate_density,
 )
 from nmrsim.errors import (
+    BadArgumentError,
     BadTraceError,
     DimNotPowerOfTwoError,
+    NmrsimError,
     NotHermitianError,
+    NotPsdError,
     NotSquareError,
     NumericalFailureError,
     ValidationError,
@@ -178,17 +183,19 @@ class TestExpectations:
             pauli_expectations(DensityMatrix(m, 4, 2))
 
     def test_set_invariants(self):
+        # a malformed set is a bad argument; a magnitude beyond 1, which an experimental-profile state can give,
+        # is a validation failure
         cases = [
-            ([1.0, 0.0, 0.0], "expected 4 expectations"),
-            ([0.999, 0.0, 0.0, 0.0], "identity expectation must be exactly 1"),
-            ([1.0, 1.5, 0.0, 0.0], "expectation X = 1.5 exceeds magnitude 1"),
-            ([1.0, 0.0, float("nan"), 0.0], "expectation Y = nan exceeds magnitude 1"),
-            ([1.0, 0.0, 0.0, 0.0, 0.0], "expected 4 expectations"),
+            ([1.0, 0.0, 0.0], BadArgumentError, "expected 4 expectations"),
+            ([0.999, 0.0, 0.0, 0.0], BadArgumentError, "identity expectation must be exactly 1"),
+            ([1.0, 1.5, 0.0, 0.0], ValidationError, "expectation X = 1.5 exceeds magnitude 1"),
+            ([1.0, 0.0, float("nan"), 0.0], ValidationError, "expectation Y = nan exceeds magnitude 1"),
+            ([1.0, 0.0, 0.0, 0.0, 0.0], BadArgumentError, "expected 4 expectations"),
             # a bare float cast would drop 0.5j with only a ComplexWarning
-            ([1.0, 0.5j, 0.0, 0.0], "must be real numbers"),
+            ([1.0, 0.5j, 0.0, 0.0], BadArgumentError, "must be real numbers"),
         ]
-        for values, message in cases:
-            with pytest.raises(ValueError, match=message):
+        for values, error, message in cases:
+            with pytest.raises(error, match=message):
                 PauliExpectationSet(1, values)
 
     @pytest.mark.parametrize("n_qubits", [0, 4])
@@ -589,3 +596,50 @@ class TestProperties:
         once = simplex_project(v)
         assert once.min() >= 0.0 and abs(once.sum() - 1.0) <= 1e-12
         assert max_abs_diff(simplex_project(once), once) <= 1e-12
+
+
+_ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def adversarial_squares(draw):
+    """Unit-trace states of rank 1 to d, each by a draw made non-Hermitian, trace-shifted by up to 1e-3 and given
+    entries near +-1e308."""
+    d = draw(st.sampled_from([2, 4, 8]))
+    g = draw(arrays(complex, (d, draw(st.integers(1, d))), elements=_ENTRIES))
+    m = g @ g.conj().T
+    m = m / np.trace(m).real if np.trace(m).real > 1e-6 else np.eye(d, dtype=complex) / d
+    m += draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-4, 1e-3, 1.0])) * draw(arrays(complex, (d, d), elements=_ENTRIES))
+    m += draw(st.floats(-1e-3, 1e-3)) / d * np.eye(d)
+    for i, j, z in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                                           st.sampled_from([1e308, -1e308, 1e308j, -8.9e307 - 8.9e307j])), max_size=2)):
+        m[i, j] = z
+    return m
+
+
+# the trace deviation each check site reports, from the trace that density_invariants measures
+_CHECK_SITES = {
+    "validate_density strict": (lambda a: validate_density(a, STRICT), lambda t: abs(t - 1.0)),
+    "validate_density experimental": (lambda a: validate_density(a, EXPERIMENTAL), lambda t: abs(t - 1.0)),
+    "project_psd": (project_psd, lambda t: abs(t - 1.0)),
+    "closest_physical_state": (closest_physical_state, lambda t: abs(t.real - 1.0)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_CHECK_SITES))
+@settings(deadline=None)
+@given(a=adversarial_squares())
+def test_check_sites_report_the_measured_invariants(site, a):
+    # one measurement serves validation and both projections, so a rejection reports density_invariants' numbers
+    check, trace_deviation = _CHECK_SITES[site]
+    inv = density_invariants(a)
+    try:
+        check(a)
+    except NotHermitianError as exc:
+        assert exc.deviation == inv.hermiticity_defect
+    except BadTraceError as exc:
+        assert np.array_equal(exc.deviation, trace_deviation(inv.trace), equal_nan=True)
+    except NotPsdError as exc:
+        assert site.startswith("validate_density") and exc.min_eigenvalue == inv.min_eigenvalue
+    except NmrsimError:
+        pass
