@@ -5,14 +5,18 @@ Usage: python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are ``src`` directories (for example of a ``git
 archive`` of the parent commit and of the working tree).  Each command runs
-as ``python -m nmrsim.cli`` with that tree first on ``PYTHONPATH``, from one
-scratch directory holding the generated inputs, so the two runs see the same
-paths.  The commands are the ``nmrsim`` lines of README's "Command line"
+``nmrsim.cli.main`` in a fresh interpreter with that tree first on
+``PYTHONPATH``, from one scratch directory holding the generated inputs, so
+the two runs see the same paths; the arguments travel as one JSON string,
+because an operating system cannot pass a NUL byte in an argument.  The commands are the ``nmrsim`` lines of README's "Command line"
 block (the ones ``tests/test_cli.py`` runs) in both formats, with their
 ``src/nmrsim/data/`` paths read from NEW_SRC; seeded 2- and 3-qubit states
 through ``tomography --shots 1000`` in both formats; an experimental-profile
 state whose Pauli expectation exceeds 1; malformed matrix and history files;
-unitaries of the wrong size; and the combinations of ``separability`` inputs.
+unitaries of the wrong size; the combinations of ``separability`` inputs;
+and writes the OS refuses: ``evolve --out`` with a NUL byte in the path, onto
+an existing directory and into a missing directory, and ``repro --export``
+onto an existing regular file.
 For each command whose exit code, stdout or stderr differs, the script
 prints both sides; it exits 1 if any differs.
 """
@@ -86,6 +90,13 @@ def _inputs(work: Path) -> dict:
         paths[name] = work / f"{name}.json"
         paths[name].write_text(text)
     paths["absent"] = work / "absent.json"
+    # write targets the OS refuses; none is changed or created by a run
+    paths["w-nul"] = work / "a\0b.json"
+    paths["w-dir"] = work / "out-dir"
+    paths["w-dir"].mkdir()
+    paths["w-missing-parent"] = work / "missing" / "out.json"
+    paths["w-file"] = work / "taken"
+    paths["w-file"].write_text("kept\n")
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -107,7 +118,7 @@ def _commands(data: Path, f: dict) -> list:
     commands = [argv + ["--format", fmt] for argv in formatted for fmt in ("text", "json")]
     commands += [["tomography", f["over-range"], "--profile", "experimental"] + shots
                  for shots in (["--shots", "0"], ["--shots", "100", "--seed", "1"])]
-    matrices = [k for k in f if not k.startswith(("h-", "unitary-", "mixed-", "over-", "gen-"))]
+    matrices = [k for k in f if not k.startswith(("h-", "unitary-", "mixed-", "over-", "gen-", "w-"))]
     commands += [["evolve", f[k], d["step_matrix"]] for k in matrices]
     commands += [["ensemble", f[k]] for k in f if k.startswith("h-")]
     commands += [["evolve", d["maximally_mixed_2q"], f[k]] for k in ("unitary-3", "unitary-16")]
@@ -118,12 +129,19 @@ def _commands(data: Path, f: dict) -> list:
               crit, rho1, tol, eps, state + crit + eps + rho1 + tol, crit + ["--rho1", f["mixed-3q"]],
               crit + ["--rho1", d["ghz3"]]]
     commands += [["separability"] + argv for argv in combos]
+    commands += [["evolve", d["maximally_mixed_2q"], d["step_matrix"], "--out", f[k]]
+                 for k in ("w-nul", "w-dir", "w-missing-parent")]
+    commands += [["repro", "--export", f["w-file"]]]
     return commands
+
+
+_MAIN = "import json, sys; from nmrsim.cli import main; sys.exit(main(json.loads(sys.argv[1])))"
 
 
 def _run(src: str, argv: list, work: Path) -> tuple:
     env = dict(os.environ, PYTHONPATH=src, NMRSIM_NO_COLOR="1")
-    p = subprocess.run([sys.executable, "-m", "nmrsim.cli", *argv], capture_output=True, text=True, env=env, cwd=work)
+    p = subprocess.run([sys.executable, "-c", _MAIN, json.dumps(argv)], capture_output=True, text=True, env=env,
+                       cwd=work)
     return p.returncode, p.stdout, p.stderr
 
 
@@ -140,7 +158,8 @@ def main() -> int:
             if a != b:
                 differ += 1
                 parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
-                print(f"DIFF ({', '.join(parts)}): {' '.join(argv)}")
+                shown = " ".join(argv).replace("\0", "\\0")
+                print(f"DIFF ({', '.join(parts)}): {shown}")
                 for label, (code, out, err) in (("old", a), ("new", b)):
                     print(f"  {label}: exit {code}, {len(out)} bytes of stdout, stderr {err.strip()!r}")
     print(f"{len(commands)} commands, {differ} differ")

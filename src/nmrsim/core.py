@@ -147,7 +147,10 @@ class DensityInvariants(NamedTuple):
 
 def _as_complex_matrix(m) -> np.ndarray:
     """Copy ``m`` into a finite square complex array; every public matrix check starts here."""
-    a = np.array(m, dtype=complex, order="C")
+    try:
+        a = np.array(m, dtype=complex, order="C")
+    except (ValueError, TypeError, OverflowError) as exc:  # a non-numeric or out-of-range entry, or ragged nesting
+        raise BadArgumentError(f"matrix entries must be numbers in a rectangular array: {exc}") from exc
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
     _require_finite(a)
@@ -212,7 +215,7 @@ def density_invariants(m) -> DensityInvariants:
     The eigenvalue is taken of ``(m + m^dag) / 2`` so that a tiny asymmetry
     cannot skew the PSD judgement; a validated state's ``spectrum`` is reused.
     """
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    a = m.matrix if isinstance(m, DensityMatrix) else _as_complex_matrix(m)
     w, _ = _eigh(m if isinstance(m, DensityMatrix) else a)
     return DensityInvariants(*_trace_and_defect(a), float(w[0]))
 
@@ -305,7 +308,7 @@ def basis_state(n_qubits: int, index: int) -> PureState:
         raise WrongDimError(f"basis states have 1 to {MAX_QUBITS} qubits, got {n_qubits}")
     dim = 1 << n_qubits
     if not 0 <= index < dim:
-        raise IndexError(f"basis index {index} out of range for dimension {dim}")
+        raise BadArgumentError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return PureState(_freeze(v), dim)

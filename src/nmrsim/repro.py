@@ -42,8 +42,8 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
-from nmrsim.errors import BadArgumentError, ParseError
-from nmrsim.serialize import load_json, load_matrix, require_number
+from nmrsim.errors import ParseError
+from nmrsim.serialize import _writing, load_json, load_matrix, require_number
 from nmrsim.tomography import closest_physical_state
 
 __all__ = [
@@ -230,16 +230,12 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
 def export_dataset(directory) -> list[Path]:
     """Copy the six bundled dataset files into ``directory``, byte for byte.
 
-    Returns the written paths.
+    Returns the written paths; the OS refusing a write is a ``BadArgumentError``.
     """
-    directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except ValueError as exc:  # a NUL byte in the path; every later write is inside the directory made here
-        raise BadArgumentError(f"cannot write {str(directory)!r}: {exc}") from exc
-    written = []
-    for name in load_json(_DATA / "metadata.json")["files"] + ["metadata.json"]:
-        path = directory / name
-        path.write_bytes((_DATA / name).read_bytes())
-        written.append(path)
+    names = load_json(_DATA / "metadata.json")["files"] + ["metadata.json"]
+    with _writing(directory) as root:
+        root.mkdir(parents=True, exist_ok=True)
+        written = [root / name for name in names]
+        for path in written:
+            path.write_bytes((_DATA / path.name).read_bytes())
     return written

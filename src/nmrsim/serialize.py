@@ -7,6 +7,7 @@ number lists, :func:`require_numbers`, and one construction of their complex
 values, ``_complex_array``.
 """
 
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -104,9 +105,16 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_dict(load_json(path))
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Yield ``Path(path)``; the OS refusing a write in the block is a ``BadArgumentError`` naming ``path``."""
+    try:
+        yield Path(path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise BadArgumentError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def save_matrix(m, path) -> None:
     text = json.dumps(matrix_to_dict(m), indent=2) + "\n"
-    try:
-        Path(path).write_text(text)
-    except ValueError as exc:  # a NUL byte in the path
-        raise BadArgumentError(f"cannot write {str(path)!r}: {exc}") from exc
+    with _writing(path) as p:
+        p.write_text(text)

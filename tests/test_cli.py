@@ -173,10 +173,41 @@ class TestExitCodes:
     )
     def test_nul_byte_in_output_path_is_usage_error(self, capsys, tmp_path, argv):
         # the OS refuses such a path with a ValueError, which used to end in a traceback
-        code, out, err = run_cli(capsys, *argv, str(tmp_path / "a\0b"))
+        path = str(tmp_path / "a\0b")
+        code, out, err = run_cli(capsys, *argv, path)
         assert (code, out) == (1, "")
-        assert err == f"nmrsim: {argv[-1]} path contains a NUL byte\n"
+        assert err == f"nmrsim: cannot write {path!r}: embedded null byte\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json"), "--out"], "missing/m.json"),
+            (["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json"), "--out"], "."),
+            (["repro", "--export"], "taken"),
+        ],
+        ids=["out-missing-parent", "out-directory", "export-onto-file"],
+    )
+    def test_unwritable_output_path_is_usage_error(self, capsys, tmp_path, argv, target):
+        (tmp_path / "taken").write_text("kept")
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / target))
+        assert (code, out) == (1, "")
+        assert err.startswith("nmrsim: cannot write '")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        # only NmrsimError maps to an exit code; a raw OSError from a command is a bug, not exit 1
+        def refuse(path):
+            raise OSError("refused")
+
+        monkeypatch.setattr("nmrsim.cli.load_matrix", refuse)
+        with pytest.raises(OSError, match="refused"):
+            main(["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json")])
+
+    def test_cli_names_no_os_error(self):
+        # every read and write is typed where it happens, so the CLI neither catches OSError nor pre-checks paths
+        source = (Path(__file__).resolve().parents[1] / "src" / "nmrsim" / "cli.py").read_text()
+        assert "OSError" not in source and "_check_output_path" not in source
 
     def test_ragged_input_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "evolve", str(FIXTURES / "ragged.json"), data_path("step_matrix.json"))

@@ -67,6 +67,22 @@ class TestValidateDensity:
         with pytest.raises(NotSquareError):
             validate_density(np.ones((2, 3)), STRICT)
 
+    @pytest.mark.parametrize("check", [validate_density, check_unitary, project_psd, density_invariants])
+    @pytest.mark.parametrize(
+        "m, error",
+        [
+            (np.ones((2, 3)), NotSquareError),
+            (np.ones(4) / 4, NotSquareError),
+            ([[1, 0], [0, "x"]], BadArgumentError),
+            ([[0.5, 0], [0.5]], BadArgumentError),
+        ],
+        ids=["2x3", "1-d", "non-numeric", "ragged"],
+    )
+    def test_every_matrix_entry_point_types_malformed_input(self, check, m, error):
+        # numpy's own conversion and broadcasting errors are not NmrsimErrors
+        with pytest.raises(error):
+            check(m)
+
     def test_dim_not_power_of_two(self):
         with pytest.raises(DimNotPowerOfTwoError):
             validate_density(np.eye(3) / 3, STRICT)
@@ -315,7 +331,7 @@ class TestPureStates:
             pure_state(amplitudes)
 
     def test_basis_index_out_of_range(self):
-        with pytest.raises(IndexError, match="basis index 4 out of range for dimension 4"):
+        with pytest.raises(BadArgumentError, match="basis index 4 out of range for dimension 4"):
             basis_state(2, 4)
 
     @pytest.mark.parametrize(

@@ -101,6 +101,23 @@ class TestDataset:
             for j in range(4):
                 assert prod[i][j] == (Fraction(int(i == j)), Fraction(0))
 
+    def test_step_matrix_is_a_phase_matched_search_step(self):
+        # (I - (1 - i)|s><s|) diag(1, 1, 1, -i): a pi/2 diffusion phase about the uniform state |s>
+        # and a -pi/2 oracle phase on |11>; every entry is a multiple of 1/4, so float64 is exact
+        ds = load_dataset()
+        s = np.full(4, 0.5)
+        step = (np.eye(4) - (1 - 1j) * np.outer(s, s)) @ np.diag([1, 1, 1, -1j])
+        assert np.array_equal(ds.c_corrected.matrix, step)
+        # the literal reading differs only in the sign of the (4,4) entry's imaginary part
+        assert ds.c_raw[3, 3] == 0.25 + 0.75j and step[3, 3] == 0.25 - 0.75j
+        raw = step.copy()
+        raw[3, 3] = raw[3, 3].conjugate()
+        assert np.array_equal(ds.c_raw, raw)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## The embedded experiment and its baselines\n", 1)[1].split("\n## ", 1)[0]
+        section = " ".join(section.split())
+        assert "phase-matched search step" in section and "quant-ph/9906020" in section
+
     def test_raw_step_matrix_fails_unitarity(self):
         ds = load_dataset()
         ok, defect = check_unitary(ds.c_raw, 1e-6)
@@ -207,6 +224,13 @@ class TestExportAndBaselines:
         with pytest.raises(BadArgumentError, match="embedded null byte"):
             export_dataset(tmp_path / "a\0b")
         assert list(tmp_path.iterdir()) == []
+
+    def test_export_onto_a_regular_file_is_a_bad_argument(self, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("kept")
+        with pytest.raises(BadArgumentError, match="^cannot write '.*taken'"):
+            export_dataset(target)
+        assert target.read_text() == "kept"
 
     def test_bundled_dataset_matches_independent_transcription(self):
         # scripts/freeze_baselines.py re-transcribes the printed values as

@@ -200,6 +200,13 @@ def test_load_matrix_nul_in_path():
         load_matrix("m\0.json")
 
 
+@pytest.mark.parametrize("where", ["missing/m.json", "."], ids=["missing-parent", "directory"])
+def test_save_matrix_refused_by_the_os_is_a_bad_argument(tmp_path, where):
+    with pytest.raises(BadArgumentError, match="^cannot write '"):
+        save_matrix(np.eye(2) / 2, tmp_path / where)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_matrix_nul_in_path(tmp_path):
     # the OS refuses such a path with a ValueError, which no exit code maps; library callers get the typed error too
     with pytest.raises(BadArgumentError, match="cannot write .*embedded null byte"):

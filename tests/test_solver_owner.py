@@ -8,7 +8,9 @@ hermiticity defect ``a - a.conj().T`` and the trace of an array (not of a
 product) may appear only in ``core._trace_and_defect``, so validation and
 both projections measure one way.  ``setflags`` may appear only inside
 ``_freeze``.  No module raises a bare ``ValueError``, which the CLI would not
-map to an exit code, and only ``core`` defines ``MAX_QUBITS``.
+map to an exit code, and only ``core`` defines ``MAX_QUBITS``.  Every
+filesystem call sits in ``serialize.load_json`` or in a ``with _writing(...)``
+block, so the OS refusing a read or a write is a typed error.
 """
 
 import ast
@@ -18,6 +20,7 @@ import nmrsim
 
 OWNERS = {("core", "_eigh"), ("core", "_eigvalsh"), ("core", "_hermitian_part")}
 MEASURED = ("trace", "hermiticity defect")
+FILESYSTEM_CALLS = ("read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "open")
 
 
 def _is_op(node, op) -> bool:
@@ -127,3 +130,30 @@ def test_qubit_limit_is_defined_only_in_core():
         if isinstance(target, ast.Name) and target.id == "MAX_QUBITS"
     ]
     assert defined == ["core"]
+
+
+def _unguarded_io(module: str, tree: ast.AST, where: str = "") -> list[tuple[str, str, str]]:
+    """Filesystem calls outside ``serialize.load_json`` and outside every ``with _writing(...)`` block."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.With) and any(ast.unparse(i.context_expr).startswith("_writing(") for i in node.items):
+            continue
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        if (module, inner) == ("serialize", "load_json"):
+            continue
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if name in FILESYSTEM_CALLS:
+                found.append((module, where, name))
+        found += _unguarded_io(module, node, inner)
+    return found
+
+
+def test_filesystem_calls_are_typed_where_they_happen():
+    found = [site for module, tree in _package_trees().items() for site in _unguarded_io(module, tree)]
+    assert found == []
+
+
+def test_io_scan_flags_unguarded_calls_only():
+    tree = ast.parse("def f(p):\n    open(p)\n    p.mkdir()\n    with _writing(p) as q:\n        q.write_text('')")
+    assert _unguarded_io("m", tree) == [("m", "f", "open"), ("m", "f", "mkdir")]
