@@ -90,10 +90,15 @@ class ValidationProfile:
             _require_tolerance(getattr(self, field), f"{self.name} profile {field}")
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy int or float; a bool is not one."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _require_tolerance(tol: float, what: str) -> None:
-    """Reject a NaN, infinite or negative tolerance, which no comparison can honour."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadArgumentError(f"{what} must be finite and nonnegative, got {tol}")
+    """Reject a tolerance that is not a real number, or is NaN, infinite or negative: no comparison can honour it."""
+    if not (_is_real(tol) and 0.0 <= tol < math.inf):
+        raise BadArgumentError(f"{what} must be finite and nonnegative, got {tol!r}")
 
 
 STRICT = ValidationProfile("strict", 1e-10, 1e-10, 1e-10)
@@ -145,12 +150,20 @@ class DensityInvariants(NamedTuple):
     min_eigenvalue: float
 
 
+def _numbers(x, dtype, what: str) -> np.ndarray:
+    """A C-ordered ``dtype`` copy of caller data ``x``: integer or real numbers, or complex for a complex ``dtype``."""
+    try:
+        a = np.array(x, order="C")
+    except (ValueError, TypeError) as exc:  # ragged nesting
+        raise BadArgumentError(f"{what} must be numbers in a rectangular array: {exc}") from exc
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise BadArgumentError(f"{what} must be {'' if dtype is complex else 'real '}numbers, got dtype {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
 def _as_complex_matrix(m) -> np.ndarray:
     """Copy ``m`` into a finite square complex array; every public matrix check starts here."""
-    try:
-        a = np.array(m, dtype=complex, order="C")
-    except (ValueError, TypeError, OverflowError) as exc:  # a non-numeric or out-of-range entry, or ragged nesting
-        raise BadArgumentError(f"matrix entries must be numbers in a rectangular array: {exc}") from exc
+    a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
     _require_finite(a)
@@ -285,7 +298,7 @@ def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
 
 def pure_state(amplitudes) -> PureState:
     """Wrap an amplitude vector, requiring unit norm within 1e-12."""
-    v = np.array(amplitudes, dtype=complex).reshape(-1)
+    v = _numbers(amplitudes, complex, "state amplitudes").reshape(-1)
     if v.size < 2:
         raise NotNormalizedError(1.0, what="empty or scalar state vector")
     with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
@@ -397,4 +410,4 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two complex matrices; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(_numbers(a, complex, "tensor factor"), _numbers(b, complex, "tensor factor"))

@@ -14,6 +14,7 @@ from nmrsim.core import (
     STRICT,
     DensityMatrix,
     PureState,
+    _is_real,
     pure_state,
     validate_density,
 )
@@ -43,12 +44,15 @@ class EnsembleHistory:
     members: tuple
 
     def __post_init__(self):
-        members = tuple((float(w), psi) for w, psi in self.members)
+        members = tuple(self.members)
         if not members:
             raise BadArgumentError("a history needs at least one member")
-        for w, _ in members:
-            if not w > 0.0:  # NaN fails too
-                raise BadArgumentError(f"member weight {w} must be positive")
+        for w, psi in members:
+            if not isinstance(psi, PureState):
+                raise BadArgumentError(f"member {psi!r} must be a PureState")
+            if not (_is_real(w) and w > 0.0):  # NaN fails too
+                raise BadArgumentError(f"member weight {w!r} must be positive")
+        members = tuple((float(w), psi) for w, psi in members)
         total = sum(w for w, _ in members)
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise NotNormalizedError(abs(total - 1.0), what="history weights")

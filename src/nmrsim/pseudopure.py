@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmrsim.core import STRICT, DensityMatrix, _freeze, _require_finite, purity, validate_density
+from nmrsim.core import STRICT, DensityMatrix, _freeze, _is_real, _numbers, _require_finite, purity, validate_density
 from nmrsim.errors import BadArgumentError, DimMismatchError, NotPureError
 
 __all__ = [
@@ -43,7 +43,7 @@ class PopulationVector:
     counts: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.counts, dtype=float).reshape(-1)
+        c = _numbers(self.counts, float, "populations").reshape(-1)
         if c.size == 0:
             raise BadArgumentError("population vector must not be empty")
         if not ((0.0 <= c) & (c < np.inf)).all():  # NaN fails too
@@ -65,8 +65,8 @@ class NetSignal(NamedTuple):
 
 def compose_pseudopure(eps: float, rho1: DensityMatrix) -> DensityMatrix:
     """``(1 - eps) I/d + eps rho1`` for pure ``rho1`` and ``eps`` in [0, 1]."""
-    if not 0.0 <= eps <= 1.0:
-        raise BadArgumentError(f"epsilon must lie in [0, 1], got {eps}")
+    if not (_is_real(eps) and 0.0 <= eps <= 1.0):
+        raise BadArgumentError(f"epsilon must lie in [0, 1], got {eps!r}")
     _require_pure(rho1)
     d = rho1.dim
     m = (1.0 - eps) * np.eye(d) / d + eps * rho1.matrix

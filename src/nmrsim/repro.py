@@ -228,14 +228,21 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
 
 
 def export_dataset(directory) -> list[Path]:
-    """Copy the six bundled dataset files into ``directory``, byte for byte.
+    """Copy the six bundled dataset files into ``directory``, byte for byte, and return their paths.
 
-    Returns the written paths; the OS refusing a write is a ``BadArgumentError``.
+    The OS refusing a write is a ``BadArgumentError``, raised after deleting the files this call created; a file
+    that existed before the call keeps whatever the call wrote to it.
     """
     names = load_json(_DATA / "metadata.json")["files"] + ["metadata.json"]
     with _writing(directory) as root:
         root.mkdir(parents=True, exist_ok=True)
         written = [root / name for name in names]
-        for path in written:
-            path.write_bytes((_DATA / path.name).read_bytes())
+        created = [path for path in written if not path.exists()]
+        try:
+            for path in written:
+                path.write_bytes((_DATA / path.name).read_bytes())
+        except BaseException:
+            for path in created:
+                path.unlink(missing_ok=True)
+            raise
     return written

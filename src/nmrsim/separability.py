@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nmrsim.core import DensityMatrix, _eigvalsh, _require_tolerance
+from nmrsim.core import DensityMatrix, _eigvalsh, _is_integer, _require_tolerance
 from nmrsim.errors import BadArgumentError, WrongDimError
 from nmrsim.pseudopure import _require_pure
 
@@ -45,8 +45,8 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
     n = rho.n_qubits
     if n < 2:
         raise WrongDimError(f"PPT test supports 2 or 3 qubits, got dim {rho.dim}")
-    if not 0 <= qubit < n:
-        raise BadArgumentError(f"qubit must be in 0..{n - 1}, got {qubit}")
+    if not (_is_integer(qubit) and 0 <= qubit < n):
+        raise BadArgumentError(f"qubit must be in 0..{n - 1}, got {qubit!r}")
     # axes 0..n-1 index the rows, n..2n-1 the columns, one axis per qubit
     t = rho.matrix.reshape((2,) * (2 * n)).swapaxes(qubit, n + qubit)
     return t.reshape(rho.dim, rho.dim)

@@ -45,6 +45,7 @@ from nmrsim.core import (
     _freeze,
     _hermitian_part,
     _is_integer,
+    _numbers,
     _trace_and_defect,
     tensor,
 )
@@ -106,12 +107,9 @@ class PauliExpectationSet:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise BadArgumentError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits}")
-        v = np.asarray(self.values)
-        if v.dtype.kind not in "iuf":  # a float cast would drop an imaginary part with only a warning
-            raise BadArgumentError(f"expectations must be real numbers, got dtype {v.dtype}")
-        v = np.array(v, dtype=float)
+        if not (_is_integer(self.n_qubits) and 1 <= self.n_qubits <= MAX_QUBITS):
+            raise BadArgumentError(f"expectation sets support 1..{MAX_QUBITS} qubits, got {self.n_qubits!r}")
+        v = _numbers(self.values, float, "expectations")
         if v.shape != (4**self.n_qubits,):
             raise BadArgumentError(f"expected {4**self.n_qubits} expectations, got shape {v.shape}")
         if v[0] != 1.0:
@@ -187,7 +185,7 @@ def simplex_project(v) -> np.ndarray:
     ``s_k`` the running sum of the ``k`` largest.  If cancellation among huge entries leaves no such ``k``,
     that is a ``NumericalFailureError``.
     """
-    v = np.asarray(v, dtype=float)
+    v = _numbers(v, float, "simplex projection input")
     if v.ndim != 1 or not v.size or not np.isfinite(v).all():
         raise BadArgumentError(f"simplex projection needs a non-empty finite vector, got {v!r}")
     tau, s = None, 0.0

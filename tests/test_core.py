@@ -40,8 +40,19 @@ from nmrsim.errors import (
     NumericalFailureError,
     WrongDimError,
 )
+from nmrsim.ensemble import EnsembleHistory
+from nmrsim.pseudopure import PopulationVector, compose_pseudopure
 from nmrsim.repro import load_dataset
-from nmrsim.tomography import ShotNoiseConfig, project_psd, reconstruct_linear, simulate_shot_noise
+from nmrsim.separability import is_separable_2q, partial_transpose
+from nmrsim.tomography import (
+    PauliExpectationSet,
+    ShotNoiseConfig,
+    closest_physical_state,
+    project_psd,
+    reconstruct_linear,
+    simplex_project,
+    simulate_shot_noise,
+)
 
 
 class TestValidateDensity:
@@ -488,3 +499,74 @@ def test_bad_argument_is_a_typed_value_error():
 def test_qubit_limit_is_checked_after_the_power_of_two(dim, error):
     with pytest.raises(error):
         validate_density(np.eye(dim) / dim)
+
+
+_I2 = np.eye(2)
+_BELL = density_from_pure(bell_state("phi+"))
+_MIXED = validate_density(np.eye(4) / 4)
+
+# Each call passes data that is not numbers of the kind its argument takes; each was once accepted or raised a raw
+# numpy or Python error.
+NOT_NUMBERS = {
+    "string matrix": lambda: validate_density([["0.5", 0], [0, "0.5"]]),
+    "bool matrix": lambda: validate_density([[True, False], [False, False]]),
+    "bool unitary": lambda: check_unitary([[True, False], [False, True]]),
+    "non-numeric amplitude": lambda: pure_state([1, "x"]),
+    "numeric-string amplitudes": lambda: pure_state(["1", "0"]),
+    "ragged amplitudes": lambda: pure_state([[1, 0], [0]]),
+    "string tensor factor": lambda: tensor(["x"], _I2),
+    "bool tensor factor": lambda: tensor([[True]], _I2),
+    "numeric-string populations": lambda: PopulationVector(["3", "1"]),
+    "non-numeric population": lambda: PopulationVector(["x", 1]),
+    "complex population": lambda: PopulationVector([3 + 1j, 1]),
+    "complex simplex input": lambda: simplex_project(np.array([0.5 + 1j, 0.5])),
+    "string simplex input": lambda: simplex_project(["0.7", "0.3"]),
+    "bool PPT tolerance": lambda: is_separable_2q(_BELL, True),
+    "string PPT tolerance": lambda: is_separable_2q(_MIXED, "x"),
+    "missing unitarity tolerance": lambda: validate_unitary(_I2, None),
+    "string profile tolerance": lambda: ValidationProfile("p", "x", 1e-3, 1e-3),
+    "bool epsilon": lambda: compose_pseudopure(True, _BELL),
+    "string epsilon": lambda: compose_pseudopure("0.5", _BELL),
+    "float qubit": lambda: partial_transpose(_MIXED, 1.0),
+    "bool qubit": lambda: partial_transpose(_MIXED, True),
+    "string weight": lambda: EnsembleHistory("l", [("1", bell_state("phi+"))]),
+}
+
+
+@pytest.mark.parametrize("call", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_argument_that_is_not_numbers_is_a_bad_argument(call):
+    with pytest.raises(BadArgumentError):
+        call()
+
+
+COMPLEX_TARGETS = (
+    validate_density,
+    validate_unitary,
+    check_unitary,
+    density_invariants,
+    project_psd,
+    closest_physical_state,
+    pure_state,
+    lambda x: tensor(x, _I2),
+    lambda x: tensor(_I2, x),
+)
+REAL_TARGETS = (lambda x: PauliExpectationSet(1, x), PopulationVector, simplex_project)
+_SHAPES = st.sampled_from([(2,), (4,), (2, 2), (4, 4)])
+NOT_NUMBER_ARRAYS = st.one_of(
+    arrays(bool, _SHAPES),
+    arrays(st.sampled_from(["U1", "U4", "S3"]), _SHAPES),
+    arrays(object, _SHAPES, elements=st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=2))),
+    st.lists(st.lists(st.floats(-2, 2), max_size=4), min_size=2, max_size=4).filter(
+        lambda rows: len({len(r) for r in rows}) > 1
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_array_that_is_not_numbers_raises_only_typed_errors(data):
+    real = data.draw(st.booleans())
+    target = data.draw(st.sampled_from(REAL_TARGETS if real else COMPLEX_TARGETS))
+    x = data.draw(st.one_of(NOT_NUMBER_ARRAYS, arrays(complex, _SHAPES)) if real else NOT_NUMBER_ARRAYS)
+    with pytest.raises(NmrsimError):
+        target(x)

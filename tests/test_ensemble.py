@@ -14,7 +14,7 @@ from nmrsim.ensemble import (
     entanglement_report,
     history_from_dict,
 )
-from nmrsim.errors import DimMismatchError, NotNormalizedError, ParseError, WrongDimError
+from nmrsim.errors import BadArgumentError, DimMismatchError, NotNormalizedError, ParseError, WrongDimError
 from nmrsim.serialize import load_json
 
 
@@ -152,6 +152,10 @@ class TestHistoryValidation:
         members = tuple((w, basis_state(2, i)) for i, w in enumerate(weights))
         with pytest.raises(ValueError, match="must be positive"):
             EnsembleHistory("bad", members)
+
+    def test_member_must_be_a_pure_state(self):
+        with pytest.raises(BadArgumentError, match="must be a PureState"):
+            EnsembleHistory("bad", ((1.0, "psi"),))
 
     def test_infinite_weight_is_not_normalized(self):
         with pytest.raises(NotNormalizedError):

@@ -232,6 +232,16 @@ class TestExportAndBaselines:
             export_dataset(target)
         assert target.read_text() == "kept"
 
+    def test_failed_export_deletes_the_files_it_created(self, tmp_path):
+        # metadata.json is written last, so the five matrix files exist when its write fails
+        (tmp_path / "metadata.json").mkdir()
+        (tmp_path / "rho_initial.json").write_text("old")
+        with pytest.raises(BadArgumentError):
+            export_dataset(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["metadata.json", "rho_initial.json"]
+        assert (tmp_path / "metadata.json").is_dir()
+        assert (tmp_path / "rho_initial.json").read_bytes() == (DATA / "rho_initial.json").read_bytes()
+
     def test_bundled_dataset_matches_independent_transcription(self):
         # scripts/freeze_baselines.py re-transcribes the printed values as
         # exact strings; every entry of the bundled files must equal them

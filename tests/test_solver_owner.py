@@ -10,7 +10,10 @@ both projections measure one way.  ``setflags`` may appear only inside
 ``_freeze``.  No module raises a bare ``ValueError``, which the CLI would not
 map to an exit code, and only ``core`` defines ``MAX_QUBITS``.  Every
 filesystem call sits in ``serialize.load_json`` or in a ``with _writing(...)``
-block, so the OS refusing a read or a write is a typed error.
+block, so the OS refusing a read or a write is a typed error.  No function
+hands one of its parameters, and no ``__post_init__`` one of its fields,
+straight to ``np.array`` or ``np.asarray``: caller data becomes numbers only
+in ``core._numbers``, so one rule decides what counts as a number.
 """
 
 import ast
@@ -21,6 +24,15 @@ import nmrsim
 OWNERS = {("core", "_eigh"), ("core", "_eigvalsh"), ("core", "_hermitian_part")}
 MEASURED = ("trace", "hermiticity defect")
 FILESYSTEM_CALLS = ("read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "open")
+ARRAY_CALLS = ("np.array", "np.asarray", "np.asanyarray")
+# The rule itself, and the wire-format side: ``matrix_to_dict`` writes an array out, and ``_parse_part`` and
+# ``_complex_array`` convert rows that ``serialize.require_numbers`` has already checked.
+NUMBERS_OWNERS = {
+    ("core", "_numbers"),
+    ("serialize", "matrix_to_dict"),
+    ("serialize", "_parse_part"),
+    ("serialize", "_complex_array"),
+}
 
 
 def _is_op(node, op) -> bool:
@@ -157,3 +169,33 @@ def test_filesystem_calls_are_typed_where_they_happen():
 def test_io_scan_flags_unguarded_calls_only():
     tree = ast.parse("def f(p):\n    open(p)\n    p.mkdir()\n    with _writing(p) as q:\n        q.write_text('')")
     assert _unguarded_io("m", tree) == [("m", "f", "open"), ("m", "f", "mkdir")]
+
+
+def _unchecked_conversions(module: str, tree: ast.AST) -> list[tuple[str, str, str]]:
+    """Array calls on a parameter of the enclosing function, or on a field in a ``__post_init__``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or (module, fn.name) in NUMBERS_OWNERS:
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ARRAY_CALLS and node.args:
+                arg = ast.unparse(node.args[0])
+                if arg in params or (fn.name == "__post_init__" and arg.startswith("self.")):
+                    found.append((module, fn.name, arg))
+    return found
+
+
+def test_caller_data_becomes_numbers_only_in_core():
+    found = [site for module, tree in _package_trees().items() for site in _unchecked_conversions(module, tree)]
+    assert found == []
+
+
+def test_numbers_scan_flags_unguarded_conversions_only():
+    src = (
+        "def f(m, k):\n    a = np.array(m, dtype=complex)\n    b = np.asarray(k + 1)\n    c = _numbers(k, float, 'k')\n"
+        "class C:\n    def __post_init__(self):\n        v = np.asarray(self.values)\n"
+        "def _numbers(x, dtype, what):\n    return np.array(x, order='C')"
+    )
+    expected = [("core", "f", "m"), ("core", "__post_init__", "self.values")]
+    assert _unchecked_conversions("core", ast.parse(src)) == expected
