@@ -46,7 +46,6 @@ __all__ = [
     "basis_state",
     "bell_state",
     "density_from_pure",
-    "purity",
     "evolve",
     "fidelity",
     "trace_distance",
@@ -90,14 +89,29 @@ class ValidationProfile:
             _require_tolerance(getattr(self, field), f"{self.name} profile {field}")
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is a Python or numpy int or float; a bool is not one."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+def _real(x, other: float | None = math.nan) -> float | None:
+    """``x`` as a float if it is a Python or numpy int or float, else ``other``; a bool is not one.
+
+    The one rule for a real scalar, argument or JSON number; an int beyond the double range reads as infinite.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return other
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _expect(x, cls, what: str):
+    """``x`` if it is a ``cls``, else a ``BadArgumentError`` naming ``what``; the one package-type guard."""
+    if not isinstance(x, cls):
+        raise BadArgumentError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 def _require_tolerance(tol: float, what: str) -> None:
     """Reject a tolerance that is not a real number, or is NaN, infinite or negative: no comparison can honour it."""
-    if not (_is_real(tol) and 0.0 <= tol < math.inf):
+    if not 0.0 <= _real(tol) < math.inf:
         raise BadArgumentError(f"{what} must be finite and nonnegative, got {tol!r}")
 
 
@@ -158,6 +172,9 @@ def _numbers(x, dtype, what: str) -> np.ndarray:
         raise BadArgumentError(f"{what} must be numbers in a rectangular array: {exc}") from exc
     if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         raise BadArgumentError(f"{what} must be {'' if dtype is complex else 'real '}numbers, got dtype {a.dtype}")
+    # an ndarray is judged by its dtype; other data entry by entry too, as numpy reads a bool among numbers as 0 or 1
+    if not isinstance(x, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in np.array(x, object).flat):
+        raise BadArgumentError(f"{what} must be numbers, not bools")
     return a.astype(dtype, copy=False)
 
 
@@ -256,7 +273,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     NumericalFailureError
         If ``m`` has a NaN or infinite entry.
     """
-    return _checked_density(_as_complex_matrix(m), profile)
+    return _checked_density(_as_complex_matrix(m), _expect(profile, ValidationProfile, "validation profile"))
 
 
 def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -> DensityMatrix:
@@ -341,7 +358,7 @@ def bell_state(kind: str) -> PureState:
     ``kind`` is ``"phi+"`` for (|00>+|11>)/sqrt(2), ``"phi-"`` for the minus
     sign, and ``"psi+"``/``"psi-"`` for (|01> +- |10>)/sqrt(2).
     """
-    if kind not in _BELL_AMPLITUDES:
+    if not (isinstance(kind, str) and kind in _BELL_AMPLITUDES):
         raise BadArgumentError(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_AMPLITUDES)}")
     i, j, sign = _BELL_AMPLITUDES[kind]
     v = np.zeros(4, dtype=complex)
@@ -352,13 +369,8 @@ def bell_state(kind: str) -> PureState:
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """|psi><psi| as a density matrix (valid by construction)."""
-    n = _n_qubits_for(psi.dim)
+    n = _n_qubits_for(_expect(psi, PureState, "state").dim)
     return DensityMatrix(_freeze(psi.projector()), psi.dim, n)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
 def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
@@ -366,13 +378,19 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
 
     Preserves the trace to 1e-12 and the eigenvalue multiset to 1e-9.
     """
-    if rho.dim != u.dim:
+    if _expect(rho, DensityMatrix, "state").dim != _expect(u, UnitaryOperator, "step operator").dim:
         raise DimMismatchError(f"state dim {rho.dim} != operator dim {u.dim}")
     m = u.matrix @ rho.matrix @ u.matrix.conj().T
     return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits)
 
 
 _EPS = float(np.finfo(float).eps)
+
+
+def _pair(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    """Require two states of one dimension."""
+    if _expect(rho, DensityMatrix, "state").dim != _expect(sigma, DensityMatrix, "state").dim:
+        raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
 
 
 def _sqrt_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +410,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     For the same reason each state's eigenvalues at or below the round-off
     floor ``d * eps * w_max`` count as 0 (eps the float64 machine epsilon).
     """
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
+    _pair(rho, sigma)
     sr, vr = _sqrt_eig(rho)
     ss, vs = _sqrt_eig(sigma)
     s = _lapack(np.linalg.svd, sr[:, None] * (vr.conj().T @ vs) * ss, compute_uv=False)
@@ -402,8 +419,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of ``rho - sigma``; in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(f"state dims differ: {rho.dim} != {sigma.dim}")
+    _pair(rho, sigma)
     w = _eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(w)))
 

@@ -8,21 +8,11 @@ always reported per member, never inferred from the averaged state.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from nmrsim.core import (
-    STRICT,
-    DensityMatrix,
-    PureState,
-    _is_real,
-    pure_state,
-    validate_density,
-)
+from nmrsim.core import DensityMatrix, PureState, _expect, _real, pure_state, validate_density
 from nmrsim.errors import BadArgumentError, DimMismatchError, NotNormalizedError, ParseError, WrongDimError
-from nmrsim.serialize import _complex_array, require_number, require_numbers
+from nmrsim.serialize import _complex_array, _require_number, _require_numbers
 
 __all__ = [
-    "PRODUCT_CONCURRENCE_TOL",
     "EnsembleHistory",
     "MemberEntanglement",
     "MemberEntanglementReport",
@@ -33,7 +23,7 @@ __all__ = [
 ]
 
 # 2-qubit members with concurrence at or below this are reported as product.
-PRODUCT_CONCURRENCE_TOL = 1e-10
+_PRODUCT_CONCURRENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,15 +34,17 @@ class EnsembleHistory:
     members: tuple
 
     def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
+        try:
+            pairs = [(w, psi) for w, psi in self.members]
+        except (TypeError, ValueError) as exc:  # not iterable, or a member that is not a pair
+            raise BadArgumentError(f"history members must be (weight, PureState) pairs: {exc}") from exc
+        if not pairs:
             raise BadArgumentError("a history needs at least one member")
-        for w, psi in members:
-            if not isinstance(psi, PureState):
-                raise BadArgumentError(f"member {psi!r} must be a PureState")
-            if not (_is_real(w) and w > 0.0):  # NaN fails too
+        for w, psi in pairs:
+            _expect(psi, PureState, "history member")
+            if not _real(w) > 0.0:  # NaN, which a weight that is not a number reads as, fails too
                 raise BadArgumentError(f"member weight {w!r} must be positive")
-        members = tuple((float(w), psi) for w, psi in members)
+        members = tuple((_real(w), psi) for w, psi in pairs)
         total = sum(w for w, _ in members)
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise NotNormalizedError(abs(total - 1.0), what="history weights")
@@ -79,10 +71,8 @@ class MemberEntanglementReport:
 
 def density_of(h: EnsembleHistory) -> DensityMatrix:
     """Weighted sum of member projectors; strict-valid by construction."""
-    acc = np.zeros((h.dim, h.dim), dtype=complex)
-    for w, psi in h.members:
-        acc += w * psi.projector()
-    return validate_density(acc, STRICT)
+    acc = sum(w * psi.projector() for w, psi in _expect(h, EnsembleHistory, "history").members)
+    return validate_density(acc)
 
 
 def concurrence(psi: PureState) -> float:
@@ -91,7 +81,7 @@ def concurrence(psi: PureState) -> float:
     0 for product states, 1 for maximally entangled ones; invariant under
     local basis changes.
     """
-    if psi.dim != 4:
+    if _expect(psi, PureState, "state").dim != 4:
         raise WrongDimError(f"concurrence is defined for 2-qubit states, got dim {psi.dim}")
     a, b, c, d = psi.amplitudes
     return min(1.0, float(2.0 * abs(a * d - b * c)))
@@ -99,10 +89,10 @@ def concurrence(psi: PureState) -> float:
 
 def entanglement_report(h: EnsembleHistory) -> MemberEntanglementReport:
     """Per-member concurrence table for a history of 2-qubit states."""
-    if h.dim != 4:
+    if _expect(h, EnsembleHistory, "history").dim != 4:
         raise WrongDimError(f"entanglement reports need 2-qubit members, got dim {h.dim}")
     rows = tuple(
-        MemberEntanglement(w, c, c <= PRODUCT_CONCURRENCE_TOL)
+        MemberEntanglement(w, c, c <= _PRODUCT_CONCURRENCE_TOL)
         for w, psi in h.members
         for c in (concurrence(psi),)
     )
@@ -126,11 +116,11 @@ def history_from_dict(obj) -> EnsembleHistory:
         missing = {"weight", "re", "im"} - entry.keys()
         if missing:
             raise ParseError(f"member {i} missing keys: {sorted(missing)}")
-        w = require_number(entry["weight"], f"member {i} weight")
+        w = _require_number(entry["weight"], f"member {i} weight")
         re, im = entry["re"], entry["im"]
         if not isinstance(re, list) or not isinstance(im, list) or len(re) != len(im):
             raise ParseError(f'member {i}: "re" and "im" must be equal-length lists')
-        require_numbers(re, f'member {i} "re"')
-        require_numbers(im, f'member {i} "im"')
+        _require_numbers(re, f'member {i} "re"')
+        _require_numbers(im, f'member {i} "im"')
         members.append((w, pure_state(_complex_array(re, im))))
     return EnsembleHistory(label, tuple(members))

@@ -11,11 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmrsim.core import STRICT, DensityMatrix, _freeze, _is_real, _numbers, _require_finite, purity, validate_density
-from nmrsim.errors import BadArgumentError, DimMismatchError, NotPureError
+from nmrsim.core import DensityMatrix, _expect, _freeze, _numbers, _pair, _real, _require_finite, validate_density
+from nmrsim.errors import BadArgumentError, NotPureError
 
 __all__ = [
-    "PURITY_TOL",
     "PopulationVector",
     "EpsilonEstimate",
     "NetSignal",
@@ -24,15 +23,15 @@ __all__ = [
     "net_signal",
 ]
 
-PURITY_TOL = 1e-9
+_PURITY_TOL = 1e-9
 # Slack when deciding whether an extracted coefficient is out of model range.
 _RANGE_SLACK = 1e-9
 
 
 def _require_pure(rho1: DensityMatrix) -> None:
-    _require_finite(rho1.matrix)  # a NaN purity would pass the comparison below
-    p = purity(rho1)
-    if abs(p - 1.0) > PURITY_TOL:
+    _require_finite(_expect(rho1, DensityMatrix, "target state").matrix)  # a NaN purity would pass the comparison
+    p = float(np.trace(rho1.matrix @ rho1.matrix).real)  # tr(rho1^2)
+    if abs(p - 1.0) > _PURITY_TOL:
         raise NotPureError(p)
 
 
@@ -65,12 +64,12 @@ class NetSignal(NamedTuple):
 
 def compose_pseudopure(eps: float, rho1: DensityMatrix) -> DensityMatrix:
     """``(1 - eps) I/d + eps rho1`` for pure ``rho1`` and ``eps`` in [0, 1]."""
-    if not (_is_real(eps) and 0.0 <= eps <= 1.0):
+    if not 0.0 <= _real(eps) <= 1.0:
         raise BadArgumentError(f"epsilon must lie in [0, 1], got {eps!r}")
     _require_pure(rho1)
     d = rho1.dim
     m = (1.0 - eps) * np.eye(d) / d + eps * rho1.matrix
-    return validate_density(m, STRICT)
+    return validate_density(m)
 
 
 def extract_epsilon(rho: DensityMatrix, rho1: DensityMatrix) -> EpsilonEstimate:
@@ -80,8 +79,7 @@ def extract_epsilon(rho: DensityMatrix, rho1: DensityMatrix) -> EpsilonEstimate:
     For other states the value is still returned, unclamped, with
     ``out_of_model`` set when it falls outside [0, 1].
     """
-    if rho.dim != rho1.dim:
-        raise DimMismatchError(f"state dims differ: {rho.dim} != {rho1.dim}")
+    _pair(rho, rho1)
     _require_finite(rho.matrix)  # a NaN overlap would be returned as an out-of-model estimate
     _require_pure(rho1)
     d = rho.dim
@@ -97,7 +95,7 @@ def net_signal(p: PopulationVector) -> NetSignal:
     ``n0 - n1`` transitions are what a pure ensemble of that many particles
     would produce.
     """
-    if p.counts.size != 2:
+    if _expect(p, PopulationVector, "populations").counts.size != 2:
         raise BadArgumentError(f"expected a single-qubit population pair, got length {p.counts.size}")
     n0, n1 = (float(x) for x in p.counts)
     return NetSignal(n0 - n1, abs(n0 - n1))

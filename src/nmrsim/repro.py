@@ -34,6 +34,7 @@ import numpy as np
 from nmrsim.core import (
     EXPERIMENTAL,
     UnitaryOperator,
+    _expect,
     _freeze,
     density_invariants,
     evolve,
@@ -43,7 +44,7 @@ from nmrsim.core import (
     validate_unitary,
 )
 from nmrsim.errors import ParseError
-from nmrsim.serialize import _writing, load_json, load_matrix, require_number
+from nmrsim.serialize import _require_number, _writing, load_json, load_matrix
 from nmrsim.tomography import closest_physical_state
 
 __all__ = [
@@ -133,10 +134,10 @@ def _baseline_numbers(obj, where) -> tuple[dict, dict, float | None]:
         for name in _CHECKED:
             if name not in table:
                 raise ParseError(f'{where}: "{key}" has no entry for {name}')
-        tables.append({name: require_number(table[name], f"{key}.{name}") for name in _CHECKED})
+        tables.append({name: _require_number(table[name], f"{key}.{name}") for name in _CHECKED})
     ceiling = obj.get("documented_ceiling_max_dev")
     if ceiling is not None:
-        ceiling = require_number(ceiling, "documented_ceiling_max_dev")
+        ceiling = _require_number(ceiling, "documented_ceiling_max_dev")
     if min(*tables[1].values(), ceiling or 0.0) < 0.0:
         raise ParseError(f"{where}: tolerances and documented_ceiling_max_dev must be nonnegative")
     return tables[0], tables[1], ceiling
@@ -215,6 +216,7 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
 
     ``baselines`` is checked as :func:`load_baselines` checks a file.
     """
+    _expect(report, ReproReport, "report")
     values, tolerances, ceiling = _baseline_numbers(baselines, "baselines")
     checks = []
     for name in _CHECKED:

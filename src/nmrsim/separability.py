@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nmrsim.core import DensityMatrix, _eigvalsh, _is_integer, _require_tolerance
+from nmrsim.core import DensityMatrix, _eigvalsh, _expect, _is_integer, _require_tolerance
 from nmrsim.errors import BadArgumentError, WrongDimError
 from nmrsim.pseudopure import _require_pure
 
@@ -42,7 +42,7 @@ def partial_transpose(rho: DensityMatrix, qubit: int) -> np.ndarray:
     Hermiticity and trace are preserved exactly; applying the same transpose
     twice returns the input.
     """
-    n = rho.n_qubits
+    n = _expect(rho, DensityMatrix, "state").n_qubits
     if n < 2:
         raise WrongDimError(f"PPT test supports 2 or 3 qubits, got dim {rho.dim}")
     if not (_is_integer(qubit) and 0 <= qubit < n):
@@ -60,7 +60,7 @@ def _ppt_report(transposed: np.ndarray, tol: float) -> PPTReport:
 
 def is_separable_2q(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> PPTReport:
     """PPT test for a 2-qubit state, where PPT is equivalent to separability."""
-    if rho.dim != 4:
+    if _expect(rho, DensityMatrix, "state").dim != 4:
         raise WrongDimError(f"separability verdicts are restricted to 2 qubits, got dim {rho.dim}")
     return _ppt_report(partial_transpose(rho, 1), tol)
 

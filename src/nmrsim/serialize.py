@@ -3,7 +3,7 @@
 Schema: ``{"rows": int, "cols": int, "re": [[float, ...], ...],
 "im": [[float, ...], ...]}``, row-major.  Ragged rows are rejected.  Matrix
 rows and history amplitudes (:mod:`nmrsim.ensemble`) share one rule for JSON
-number lists, :func:`require_numbers`, and one construction of their complex
+number lists, ``_require_numbers``, and one construction of their complex
 values, ``_complex_array``.
 """
 
@@ -14,49 +14,39 @@ from pathlib import Path
 
 import numpy as np
 
+from nmrsim.core import _is_integer, _numbers, _real
 from nmrsim.errors import BadArgumentError, ParseError
 
-__all__ = ["require_number", "require_numbers", "matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix",
-           "load_json"]
+__all__ = ["matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix", "load_json"]
 
 
 def matrix_to_dict(m) -> dict:
-    a = np.asarray(m, dtype=complex)
+    a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
         raise ParseError(f"expected a 2-d matrix, got {a.ndim}-d data")
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
+    return {"rows": a.shape[0], "cols": a.shape[1], "re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-def require_number(x, where: str) -> float:
-    """``x`` as a float if it is a finite JSON number (not a bool), else ``ParseError``."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+def _require_number(x, where: str) -> float:
+    """``x`` as a float if it is a finite number by ``core._real``'s rule, else ``ParseError``."""
+    v = _real(x, None)
+    if v is None:
         raise ParseError(f"{where}: expected a number, got {type(x).__name__}")
-    try:
-        v = float(x)
-    except OverflowError:  # a JSON integer beyond the double range
-        v = math.inf
     if not math.isfinite(v):
         raise ParseError(f"{where}: non-finite value {x!r}")
     return v
 
 
-def require_numbers(values: list, where: str) -> None:
-    """Raise :func:`require_number`'s ``ParseError`` for the first entry of ``values`` that is not a finite JSON number.
+def _require_numbers(values: list, where: str) -> None:
+    """Raise :func:`_require_number`'s ``ParseError`` for the first entry of ``values`` that is not a finite number.
 
     Only a list that fails one pass over the types and one over the values is checked entry by entry.
     """
-    try:
+    with contextlib.suppress(OverflowError):  # a JSON integer beyond the double range
         if set(map(type, values)) <= {int, float} and all(map(math.isfinite, values)):
             return
-    except OverflowError:  # a JSON integer beyond the double range
-        pass
     for x in values:
-        require_number(x, where)
+        _require_number(x, where)
 
 
 def _parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
@@ -65,7 +55,7 @@ def _parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
     for i, row in enumerate(part):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
-        require_numbers(row, f'"{name}"[{i}]')
+        _require_numbers(row, f'"{name}"[{i}]')
     return np.array(part, dtype=float)
 
 
@@ -77,7 +67,7 @@ def matrix_from_dict(obj) -> np.ndarray:
         raise ParseError(f"matrix document missing keys: {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
     for label, v in (("rows", rows), ("cols", cols)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        if not (_is_integer(v) and v >= 1):
             raise ParseError(f'"{label}" must be a positive integer')
     return _complex_array(_parse_part(obj["re"], "re", rows, cols), _parse_part(obj["im"], "im", rows, cols))
 
@@ -93,7 +83,7 @@ def load_json(path) -> object:
     """The decoded document at ``path``; an unreadable file or an undecodable document is a ``ParseError``."""
     try:
         text = Path(path).read_text()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL byte in the path
+    except (OSError, ValueError, TypeError) as exc:  # not UTF-8, a NUL byte in the path, or not a path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -110,7 +100,7 @@ def _writing(path):
     """Yield ``Path(path)``; the OS refusing a write in the block is a ``BadArgumentError`` naming ``path``."""
     try:
         yield Path(path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+    except (OSError, ValueError, TypeError) as exc:  # a NUL byte in the path, or not a path
         raise BadArgumentError(f"cannot write {str(path)!r}: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ draw gives all shot-noise counts, and one matmul gives the reconstruction.
 
 Randomness contract: shot noise draws from ``Generator(PCG64(seed))``, the
 stream of ``numpy.random.default_rng(seed)``, stable across platforms.  Each
-non-identity label, in the canonical order produced by :func:`pauli_labels`,
+non-identity label, in the canonical order produced by :func:`_pauli_labels`,
 consumes exactly one binomial draw of ``shots`` trials, so a fixed seed
 reproduces results bit-for-bit.
 """
@@ -42,6 +42,7 @@ from nmrsim.core import (
     _as_complex_matrix,
     _checked_density,
     _eigh,
+    _expect,
     _freeze,
     _hermitian_part,
     _is_integer,
@@ -54,7 +55,6 @@ from nmrsim.errors import BadArgumentError, BadTraceError, NotHermitianError, Nu
 __all__ = [
     "PauliExpectationSet",
     "ShotNoiseConfig",
-    "pauli_labels",
     "pauli_matrix",
     "pauli_expectations",
     "simulate_shot_noise",
@@ -68,7 +68,7 @@ _PAULI_CHARS = "IXYZ"
 
 
 @lru_cache(maxsize=None)
-def pauli_labels(n_qubits: int) -> tuple[str, ...]:
+def _pauli_labels(n_qubits: int) -> tuple[str, ...]:
     """All ``4^n`` Pauli product labels in canonical order ("II", "IX", ...).
 
     The leftmost character acts on qubit 1 (the first tensor factor).
@@ -79,7 +79,7 @@ def pauli_labels(n_qubits: int) -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def pauli_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis named by ``label``."""
-    if not label or any(ch not in _PAULI_CHARS for ch in label):
+    if not isinstance(label, str) or not label or any(ch not in _PAULI_CHARS for ch in label):
         raise BadArgumentError(f"invalid Pauli label {label!r}")
     m = PAULI_1Q[label[0]]
     for ch in label[1:]:
@@ -90,7 +90,7 @@ def pauli_matrix(label: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _stack(n_qubits: int) -> np.ndarray:
     """Read-only ``(4^n, d, d)`` array of :func:`pauli_matrix` in label order."""
-    return _freeze(np.stack([pauli_matrix(label) for label in pauli_labels(n_qubits)]))
+    return _freeze(np.stack([pauli_matrix(label) for label in _pauli_labels(n_qubits)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +98,7 @@ class PauliExpectationSet:
     """Complete set of Pauli product expectations for ``n_qubits`` qubits.
 
     ``values`` is a read-only float64 array of length ``4^n``: ``values[k]``
-    belongs to ``pauli_labels(n_qubits)[k]``.  Invariants: the identity entry
+    belongs to ``_pauli_labels(n_qubits)[k]``.  Invariants: the identity entry
     ``values[0]`` is exactly 1, and every magnitude is at most ``1 + 1e-12``
     (else a ``ValidationError``: an experimental-profile state can exceed it).
     """
@@ -117,7 +117,7 @@ class PauliExpectationSet:
         ok = np.abs(v) <= 1.0 + 1e-12  # NaN fails too
         if not ok.all():
             k = int(np.flatnonzero(~ok)[0])
-            raise ValidationError(f"expectation {pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
+            raise ValidationError(f"expectation {_pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
         object.__setattr__(self, "values", _freeze(v))
 
 
@@ -140,15 +140,16 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     The identity entry is pinned to 1 (the trace, by definition); an imaginary
     residue beyond 1e-12 (or a NaN) on the others is a numerical failure.
     """
+    n = _expect(rho, DensityMatrix, "state").n_qubits
     # each P is exactly Hermitian, so row k of the flattened stack dotted with conj(rho) is conj(tr(rho P_k))
-    t = _stack(rho.n_qubits).reshape(4**rho.n_qubits, -1) @ rho.matrix.conj().reshape(-1)
+    t = _stack(n).reshape(4**n, -1) @ rho.matrix.conj().reshape(-1)
     ok = np.abs(t.imag[1:]) <= 1e-12  # NaN fails too
     if not ok.all():
         k = int(np.flatnonzero(~ok)[0]) + 1
-        raise NumericalFailureError(f"expectation {pauli_labels(rho.n_qubits)[k]} has imaginary part {-t.imag[k]:.3e}")
+        raise NumericalFailureError(f"expectation {_pauli_labels(n)[k]} has imaginary part {-t.imag[k]:.3e}")
     values = t.real
     values[0] = 1.0
-    return PauliExpectationSet(rho.n_qubits, values)
+    return PauliExpectationSet(n, values)
 
 
 def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpectationSet:
@@ -159,8 +160,8 @@ def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpect
     per observable in canonical label order.  Deterministic for a fixed seed.
     """
     exact = pauli_expectations(rho)
+    shots = _expect(cfg, ShotNoiseConfig, "shot-noise configuration").shots_per_observable
     rng = np.random.Generator(np.random.PCG64(cfg.seed))  # the generator default_rng(seed) builds
-    shots = cfg.shots_per_observable
     ups = rng.binomial(shots, np.minimum(np.maximum((1.0 + exact.values[1:]) / 2.0, 0.0), 1.0))
     values = exact.values.copy()  # values[0] is the pinned identity entry, 1
     values[1:] = 2.0 * ups / shots - 1.0
@@ -174,7 +175,7 @@ def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
     coefficient is pinned to 1); eigenvalues may be negative under noise, so
     follow with :func:`project_psd` when a physical state is required.
     """
-    d = 1 << e.n_qubits
+    d = 1 << _expect(e, PauliExpectationSet, "expectation set").n_qubits
     return (e.values @ _stack(e.n_qubits).reshape(d * d, d * d)).reshape(d, d) / d
 
 

@@ -20,7 +20,6 @@ from nmrsim.core import (
     evolve,
     fidelity,
     pure_state,
-    purity,
     tensor,
     trace_distance,
     validate_density,
@@ -35,13 +34,14 @@ from nmrsim.errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPsdError,
+    NotPureError,
     NotSquareError,
     NotUnitaryError,
     NumericalFailureError,
     WrongDimError,
 )
 from nmrsim.ensemble import EnsembleHistory
-from nmrsim.pseudopure import PopulationVector, compose_pseudopure
+from nmrsim.pseudopure import PopulationVector, compose_pseudopure, extract_epsilon
 from nmrsim.repro import load_dataset
 from nmrsim.separability import is_separable_2q, partial_transpose
 from nmrsim.tomography import (
@@ -376,8 +376,12 @@ class TestPureStates:
             bell_state("sigma+")
 
     def test_purity_of_pure_and_mixed(self):
-        assert purity(density_from_pure(bell_state("phi+"))) == pytest.approx(1.0, abs=1e-12)
-        assert purity(validate_density(np.eye(4) / 4, STRICT)) == pytest.approx(0.25, abs=1e-12)
+        # the pseudo-pure target check reads the purity tr(rho^2); extract_epsilon(r, r) is (d tr(r^2) - 1) / (d - 1)
+        bell = density_from_pure(bell_state("phi+"))
+        assert extract_epsilon(bell, bell).epsilon == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NotPureError) as exc:
+            compose_pseudopure(0.5, validate_density(np.eye(4) / 4, STRICT))
+        assert exc.value.purity == pytest.approx(0.25, abs=1e-12)
 
     def test_strict_accepts_pure_projectors(self):
         rng = np.random.default_rng(17)
@@ -509,6 +513,7 @@ _MIXED = validate_density(np.eye(4) / 4)
 # numpy or Python error.
 NOT_NUMBERS = {
     "string matrix": lambda: validate_density([["0.5", 0], [0, "0.5"]]),
+    "bool-mixed matrix": lambda: validate_density([[0.5, False], [0, 0.5]]),
     "bool matrix": lambda: validate_density([[True, False], [False, False]]),
     "bool unitary": lambda: check_unitary([[True, False], [False, True]]),
     "non-numeric amplitude": lambda: pure_state([1, "x"]),

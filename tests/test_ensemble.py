@@ -161,6 +161,17 @@ class TestHistoryValidation:
         with pytest.raises(NotNormalizedError):
             EnsembleHistory("bad", ((float("inf"), basis_state(2, 0)), (1.0, basis_state(2, 1))))
 
+    def test_weight_beyond_the_double_range_is_infinite(self):
+        with pytest.raises(NotNormalizedError):
+            EnsembleHistory("bad", ((10**400, basis_state(2, 0)), (1.0, basis_state(2, 1))))
+        with pytest.raises(BadArgumentError, match="must be positive"):
+            EnsembleHistory("bad", ((-(10**400), basis_state(2, 0)), (1.0, basis_state(2, 1))))
+
+    @pytest.mark.parametrize("members", [None, [1.0], [(1.0,)], [(1.0, basis_state(1, 0), 0)], "ab"])
+    def test_member_that_is_not_a_weight_state_pair(self, members):
+        with pytest.raises(BadArgumentError, match=r"\(weight, PureState\) pairs"):
+            EnsembleHistory("bad", members)
+
     def test_members_same_dim(self):
         with pytest.raises(DimMismatchError):
             EnsembleHistory("bad", ((0.5, basis_state(1, 0)), (0.5, basis_state(2, 0))))

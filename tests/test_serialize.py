@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from nmrsim.ensemble import history_from_dict
 from nmrsim.errors import BadArgumentError, NmrsimError, ParseError
-from nmrsim.serialize import _parse_part, load_matrix, matrix_from_dict, matrix_to_dict, require_number, save_matrix
+from nmrsim.serialize import _parse_part, _require_number, load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
 
 # Everything json.loads can return.
 json_values = st.recursive(
@@ -135,7 +135,7 @@ def _two_path_parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
     for i, row in enumerate(part):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
-        out.append([require_number(x, f'"{name}"[{i}]') for x in row])
+        out.append([_require_number(x, f'"{name}"[{i}]') for x in row])
     return np.array(out, dtype=float)
 
 
@@ -176,6 +176,15 @@ def test_rejects_bad_dimensions():
 def test_to_dict_rejects_non_matrix():
     with pytest.raises(ParseError, match="expected a 2-d matrix, got 1-d data"):
         matrix_to_dict(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("m", [[["x"]], [[True]], [[0.5, False], [0.0, 0.5]], [["0.5"]], [[None]]])
+def test_writing_data_that_is_not_numbers_is_a_bad_argument(m, tmp_path):
+    with pytest.raises(BadArgumentError, match="matrix entries"):
+        matrix_to_dict(m)
+    with pytest.raises(BadArgumentError, match="matrix entries"):
+        save_matrix(m, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_rejects_non_object():

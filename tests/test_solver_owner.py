@@ -13,7 +13,10 @@ filesystem call sits in ``serialize.load_json`` or in a ``with _writing(...)``
 block, so the OS refusing a read or a write is a typed error.  No function
 hands one of its parameters, and no ``__post_init__`` one of its fields,
 straight to ``np.array`` or ``np.asarray``: caller data becomes numbers only
-in ``core._numbers``, so one rule decides what counts as a number.
+in ``core._numbers``, so one rule decides what counts as a number.  An
+``isinstance`` against a package type sits only in the three functions that
+dispatch on a state or an array; every guard on a package-typed argument goes
+through ``core._expect``.
 """
 
 import ast
@@ -25,13 +28,28 @@ OWNERS = {("core", "_eigh"), ("core", "_eigvalsh"), ("core", "_hermitian_part")}
 MEASURED = ("trace", "hermiticity defect")
 FILESYSTEM_CALLS = ("read_text", "read_bytes", "write_text", "write_bytes", "mkdir", "open")
 ARRAY_CALLS = ("np.array", "np.asarray", "np.asanyarray")
-# The rule itself, and the wire-format side: ``matrix_to_dict`` writes an array out, and ``_parse_part`` and
-# ``_complex_array`` convert rows that ``serialize.require_numbers`` has already checked.
+# The rule itself, and the wire-format side: ``_parse_part`` and ``_complex_array`` convert rows that
+# ``serialize._require_numbers`` has already checked.
 NUMBERS_OWNERS = {
     ("core", "_numbers"),
-    ("serialize", "matrix_to_dict"),
     ("serialize", "_parse_part"),
     ("serialize", "_complex_array"),
+}
+PACKAGE_TYPES = {
+    "DensityMatrix",
+    "PureState",
+    "UnitaryOperator",
+    "PauliExpectationSet",
+    "ShotNoiseConfig",
+    "EnsembleHistory",
+    "PopulationVector",
+    "ValidationProfile",
+}
+# ``core._expect`` checks against the type it is handed, so a guard that names a package type here is not it.
+TYPE_CHECKERS = {
+    ("core", "_eigh"),
+    ("core", "density_invariants"),
+    ("tomography", "closest_physical_state"),
 }
 
 
@@ -199,3 +217,30 @@ def test_numbers_scan_flags_unguarded_conversions_only():
     )
     expected = [("core", "f", "m"), ("core", "__post_init__", "self.values")]
     assert _unchecked_conversions("core", ast.parse(src)) == expected
+
+
+def _type_checks(module: str, tree: ast.AST, where: str = "") -> set[tuple[str, str]]:
+    """``(module, function)`` of every ``isinstance`` call against a package type, by name or attribute."""
+    sites = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if names & PACKAGE_TYPES:
+                sites.add((module, where))
+        sites |= _type_checks(module, node, inner)
+    return sites
+
+
+def test_package_types_are_checked_only_by_the_guard_and_the_dispatch_sites():
+    found = set().union(*(_type_checks(module, tree) for module, tree in _package_trees().items()))
+    assert found == TYPE_CHECKERS
+
+
+def test_type_check_scan_flags_package_types_only():
+    src = (
+        "def f(x):\n    if not isinstance(x, (int, PureState)):\n        raise TypeError\n"
+        "def g(x):\n    return isinstance(x, core.DensityMatrix)\n"
+        "def h(x):\n    return isinstance(x, (dict, np.ndarray))"
+    )
+    assert _type_checks("m", ast.parse(src)) == {("m", "f"), ("m", "g")}

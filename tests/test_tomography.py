@@ -36,9 +36,9 @@ from nmrsim.repro import load_dataset, reproduce_theory
 from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
+    _pauli_labels,
     closest_physical_state,
     pauli_expectations,
-    pauli_labels,
     pauli_matrix,
     project_psd,
     reconstruct_linear,
@@ -112,15 +112,15 @@ def oracle_shot_noise(rho, shots, seed):
 
 def by_label(e):
     """The set's values keyed by Pauli label, in canonical order."""
-    return dict(zip(pauli_labels(e.n_qubits), e.values.tolist()))
+    return dict(zip(_pauli_labels(e.n_qubits), e.values.tolist()))
 
 
 class TestPauliBasis:
     def test_labels_canonical_order(self):
-        assert pauli_labels(1) == ("I", "X", "Y", "Z")
-        assert pauli_labels(2)[:5] == ("II", "IX", "IY", "IZ", "XI")
-        assert len(pauli_labels(3)) == 64
-        assert pauli_labels(3) is pauli_labels(3)
+        assert _pauli_labels(1) == ("I", "X", "Y", "Z")
+        assert _pauli_labels(2)[:5] == ("II", "IX", "IY", "IZ", "XI")
+        assert len(_pauli_labels(3)) == 64
+        assert _pauli_labels(3) is _pauli_labels(3)
 
     def test_leftmost_label_is_first_factor(self):
         assert max_abs_diff(pauli_matrix("ZI"), np.diag([1, 1, -1, -1])) == 0.0
@@ -231,7 +231,7 @@ class TestReconstruct:
             assert max_abs_diff(recon, rho.matrix) <= 1e-10
 
     def test_zero_set_gives_maximally_mixed(self):
-        values = np.zeros(len(pauli_labels(2)))
+        values = np.zeros(len(_pauli_labels(2)))
         values[0] = 1.0
         recon = reconstruct_linear(PauliExpectationSet(2, values))
         assert max_abs_diff(recon, np.eye(4) / 4) == 0.0
@@ -515,7 +515,7 @@ class TestSpectrumReuse:
         for n in (1, 2, 3):
             for seed in range(20):
                 e = simulate_shot_noise(random_density(rng, 1 << n), ShotNoiseConfig(1000, seed))
-                stack = np.stack([pauli_matrix(label) for label in pauli_labels(n)])
+                stack = np.stack([pauli_matrix(label) for label in _pauli_labels(n)])
                 assert np.array_equal(reconstruct_linear(e), np.tensordot(e.values, stack, 1) / (1 << n))
 
     @settings(deadline=None)
@@ -524,13 +524,13 @@ class TestSpectrumReuse:
         # states Hermitian only to within 2 * sqrt(2) * scale < 1e-11, built directly to skip validation
         noise = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, rho.dim, rho.dim))
         m = rho.matrix + scale * (noise[0] + 1j * noise[1])
-        stack = np.stack([pauli_matrix(label) for label in pauli_labels(rho.n_qubits)])
+        stack = np.stack([pauli_matrix(label) for label in _pauli_labels(rho.n_qubits)])
         want = np.einsum("kij,ji->k", stack, m)[1:]
         assume(np.all(np.abs(np.abs(want.imag) - 1e-12) > 1e-15))  # a residue on the threshold may go either way
         bad = np.flatnonzero(~(np.abs(want.imag) <= 1e-12))
         state = DensityMatrix(m, rho.dim, rho.n_qubits)
         if bad.size:
-            label = pauli_labels(rho.n_qubits)[int(bad[0]) + 1]
+            label = _pauli_labels(rho.n_qubits)[int(bad[0]) + 1]
             with pytest.raises(NumericalFailureError, match=f"expectation {label} has imaginary part"):
                 pauli_expectations(state)
         else:
