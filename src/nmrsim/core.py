@@ -4,8 +4,8 @@ States and operators are plain complex ``numpy`` arrays wrapped in thin frozen
 dataclasses whose defining invariants are checked at construction time.  All
 operations are pure functions: inputs are never mutated, wrapped arrays are
 marked read-only, and values can be shared freely between threads.  Every
-eigen-solve in the package goes through ``_eigh`` or ``_eigvalsh`` here, on
-the Hermitian part of a matrix; ``_eigh`` returns a state's stored eigenpairs.
+``DensityMatrix`` carries the eigenpairs of its matrix's Hermitian part, which
+``_eigh`` returns; every eigen-solve in the package goes through ``_eigh`` or ``_eigvalsh``.
 The trace and the hermiticity defect are measured only by ``_trace_and_defect``.
 """
 
@@ -123,17 +123,16 @@ EXPERIMENTAL = ValidationProfile("experimental", 1e-3, 1e-3, 5e-2)
 class DensityMatrix:
     """Ensemble-average quantum state: Hermitian, unit trace, PSD.
 
-    Construct through :func:`validate_density` (or one of the helpers that
-    guarantee the invariants structurally); ``matrix`` is read-only.
-    Validation and projection fill ``spectrum``: the read-only eigenpairs
-    ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending, which
-    ``density_invariants``, ``fidelity`` and ``closest_physical_state`` reuse.
+    A state is its read-only ``matrix`` plus ``spectrum``, the read-only
+    eigenpairs ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending,
+    which every later eigen-solve on the state reuses.  Only ``_checked_density``
+    (behind :func:`validate_density` and every validating builder) and :func:`evolve` build one.
     """
 
     matrix: np.ndarray
     dim: int
     n_qubits: int
-    spectrum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    spectrum: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -225,11 +224,9 @@ def _lapack(solver, a: np.ndarray, **kw):
 
 
 def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs ``(w, v)``, ``w`` ascending, of an array's Hermitian part, or a state's stored ``spectrum``."""
+    """Read-only eigenpairs ``(w, v)``, ``w`` ascending, of an array's Hermitian part, or a state's ``spectrum``."""
     if isinstance(m, DensityMatrix):
-        if m.spectrum is not None:
-            return m.spectrum
-        m = m.matrix
+        return m.spectrum
     w, v = _lapack(np.linalg.eigh, _hermitian_part(m))
     return _freeze(w), _freeze(v)
 
@@ -341,7 +338,7 @@ def basis_state(n_qubits: int, index: int) -> PureState:
         raise BadArgumentError(f"basis index {index} out of range for dimension {dim}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
-    return PureState(_freeze(v), dim)
+    return pure_state(v)
 
 
 _BELL_AMPLITUDES = {
@@ -364,24 +361,25 @@ def bell_state(kind: str) -> PureState:
     v = np.zeros(4, dtype=complex)
     v[i] = np.sqrt(0.5)
     v[j] = sign * np.sqrt(0.5)
-    return PureState(_freeze(v), 4)
+    return pure_state(v)
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
-    """|psi><psi| as a density matrix (valid by construction)."""
-    n = _n_qubits_for(_expect(psi, PureState, "state").dim)
-    return DensityMatrix(_freeze(psi.projector()), psi.dim, n)
+    """|psi><psi| validated under ``STRICT``, with the eigenpairs of its own eigen-solve."""
+    return _checked_density(_expect(psi, PureState, "state").projector(), STRICT)
 
 
 def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     """Conjugate a state by one computation step: ``U rho U^dag``.
 
-    Preserves the trace to 1e-12 and the eigenvalue multiset to 1e-9.
+    Preserves the trace to 1e-12 and the eigenvalue multiset to 1e-9.  The result's ``spectrum`` is
+    ``(w, U v)`` from ``rho``'s, with no eigen-solve: eigenpairs of its Hermitian part to U's
+    unitarity defect (at most 1e-10 for a validated operator) plus round-off.
     """
     if _expect(rho, DensityMatrix, "state").dim != _expect(u, UnitaryOperator, "step operator").dim:
         raise DimMismatchError(f"state dim {rho.dim} != operator dim {u.dim}")
     m = u.matrix @ rho.matrix @ u.matrix.conj().T
-    return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits)
+    return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits, (rho.spectrum[0], _freeze(u.matrix @ rho.spectrum[1])))
 
 
 _EPS = float(np.finfo(float).eps)

@@ -24,6 +24,8 @@ def matrix_to_dict(m) -> dict:
     a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
         raise ParseError(f"expected a 2-d matrix, got {a.ndim}-d data")
+    if not np.isfinite(a).all():  # json.dumps would write NaN or Infinity: not JSON, and load_matrix refuses them
+        raise BadArgumentError("matrix entries must be finite to be written as JSON")
     return {"rows": a.shape[0], "cols": a.shape[1], "re": a.real.tolist(), "im": a.imag.tolist()}
 
 

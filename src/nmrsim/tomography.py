@@ -4,10 +4,10 @@ The pipeline is: measure (or simulate with shot noise) all ``4^n``
 expectation values ``<P> = tr(rho P)``, reconstruct by linear inversion
 ``rho = (1/d) sum_P <P> P``, then project the possibly unphysical result to
 the closest unit-trace PSD matrix (Frobenius norm), which reduces to
-projecting the eigenvalue vector onto the probability simplex.  The projected
-state keeps the eigenpairs it was built from as its ``spectrum``, so neither
-its validation nor a later ``fidelity`` decomposes it again.  Every
-eigen-solve here goes through ``core._eigh``.
+projecting the eigenvalue vector onto the probability simplex.  Like every
+``DensityMatrix``, the projected state carries eigenpairs: those it was built
+from, so neither its validation nor a later ``fidelity`` decomposes it again.
+Every eigen-solve here goes through ``core._eigh``.
 
 :func:`closest_physical_state` ends in the same projection, after scaling the
 eigenpairs of a matrix's Hermitian part, or of a validated state, to unit

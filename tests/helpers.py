@@ -8,6 +8,7 @@ from nmrsim.core import (
     DensityMatrix,
     PureState,
     UnitaryOperator,
+    _eigh,
     density_from_pure,
     pure_state,
     validate_density,
@@ -42,6 +43,16 @@ def random_product_pure(rng: np.random.Generator) -> PureState:
     return pure_state(v / np.linalg.norm(v))
 
 
+def unchecked_density(m: np.ndarray) -> DensityMatrix:
+    """``m`` wrapped without validation, to reach a guard behind it; every state carries eigenpairs.
+
+    They are those of ``m``'s Hermitian part, or all NaN if ``m`` has a non-finite entry and so has none.
+    """
+    d = len(m)
+    spectrum = _eigh(m) if np.isfinite(m).all() else (np.full(d, np.nan), np.full((d, d), np.nan + 0j))
+    return DensityMatrix(m, d, d.bit_length() - 1, spectrum)
+
+
 def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
@@ -65,12 +76,27 @@ def densities(draw, n_qubits=None):
 
 
 @st.composite
-def pure_densities(draw, n_qubits: int):
-    """Random pure-state projectors; one amplitude is shifted by 2 so the norm is at least 1."""
+def ranked_densities(draw, n_qubits: int):
+    """Random states ``G G^dag / tr`` of any rank 1 to d, no identity added; ``G[0, 0]`` is shifted by 2 so tr > 0."""
+    d = 1 << n_qubits
+    g = _complex_block(draw, d, draw(st.integers(1, d)))
+    g[0, 0] += 2.0
+    m = g @ g.conj().T
+    return validate_density(m / np.trace(m).real, STRICT)
+
+
+@st.composite
+def pure_states(draw, n_qubits: int):
+    """Random state vectors; one amplitude is shifted by 2 so the norm is at least 1."""
     d = 1 << n_qubits
     v = _complex_block(draw, d, 1)[:, 0]
     v[draw(st.integers(0, d - 1))] += 2.0
-    return density_from_pure(pure_state(v / np.linalg.norm(v)))
+    return pure_state(v / np.linalg.norm(v))
+
+
+def pure_densities(n_qubits: int):
+    """Random pure-state projectors."""
+    return pure_states(n_qubits).map(density_from_pure)
 
 
 @st.composite

@@ -1,13 +1,19 @@
-"""The benchmark looks up library names; keep those names alive.
+"""The benchmark looks up library names and checks library values; keep both alive.
 
 ``perfbench/spans.py`` wraps the functions listed in its ``LAYERS`` table
 with ``getattr``, and the workloads reach into ``nmrsim`` modules by
 attribute, so deleting or renaming one of those names would break only a
-benchmark run.  These tests read the harness sources without importing them.
+benchmark run.  Those tests read the harness sources without importing them.
+Each workload that ``BENCHMARK.json`` gates is also set up from
+``perfbench/workloads.py`` and run for one pass, so a library change that
+moves a value an operation checks fails here, not only as failed operations
+in a benchmark run.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -62,3 +68,26 @@ def test_pauli_matrix_cache_statistics_exist():
     from nmrsim.tomography import pauli_matrix
 
     assert callable(pauli_matrix.cache_info)
+
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded from its file under the name the harness imports it by."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GATED = [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_gated_workload_ops_pass_their_checks(workload, tmp_path):
+    failed = {}
+    for op in _workloads().SETUPS[workload](1, tmp_path).ops:
+        if op.prepare:
+            op.prepare()
+        reason = op.check(op.run(None))
+        if reason is not None:
+            failed[op.label] = reason
+    assert failed == {}

@@ -4,13 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import densities, max_abs_diff, pure_densities, random_density, random_pure, random_unitary, unitaries
+from helpers import (
+    densities,
+    max_abs_diff,
+    pure_densities,
+    pure_states,
+    random_density,
+    random_pure,
+    random_unitary,
+    ranked_densities,
+    unchecked_density,
+    unitaries,
+)
 from nmrsim.core import (
     EXPERIMENTAL,
     PAULI_1Q,
     STRICT,
-    DensityMatrix,
     ValidationProfile,
+    _eigh,
     _hermitian_part,
     basis_state,
     bell_state,
@@ -40,7 +51,7 @@ from nmrsim.errors import (
     NumericalFailureError,
     WrongDimError,
 )
-from nmrsim.ensemble import EnsembleHistory
+from nmrsim.ensemble import EnsembleHistory, density_of
 from nmrsim.pseudopure import PopulationVector, compose_pseudopure, extract_epsilon
 from nmrsim.repro import load_dataset
 from nmrsim.separability import is_separable_2q, partial_transpose
@@ -237,10 +248,10 @@ class TestFidelityAndTraceDistance:
     @pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 2)])
     def test_non_finite_entry_is_numerical_failure(self, where):
         # built directly to skip validation; eigvalsh reads one triangle only,
-        # so a NaN above the diagonal made trace_distance(r, r) return 0.0
+        # so a NaN above the diagonal made trace_distance(r, r) return 0.0, and fidelity reads the NaN eigenpairs
         m = np.eye(4, dtype=complex) / 4
         m[where] = np.nan
-        r = DensityMatrix(m, 4, 2)
+        r = unchecked_density(m)
         with pytest.raises(NumericalFailureError, match="non-finite"):
             trace_distance(r, r)
         with pytest.raises(NumericalFailureError, match="non-finite"):
@@ -404,6 +415,34 @@ def test_eigendecomposition_accuracy_up_to_dim_8():
 
 class TestProperties:
     @settings(deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(ranked_densities(n), pure_states(n), unitaries(n))),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 0.99),
+        st.floats(0.5, 2.0),
+    )
+    def test_every_state_the_package_builds_carries_its_eigenpairs(self, case, eps, weight, scale):
+        rho, psi, u = case
+        n, d = rho.n_qubits, rho.dim
+        h = rho.matrix + 0.5 * eps * np.diag(np.linspace(-1.0, 1.0, d))  # traceless shift: often not PSD
+        history = EnsembleHistory("h", [(1.0 - weight, psi), (weight, basis_state(n, 0))])
+        built = {
+            "validate_density": (rho, 0.0),
+            "density_from_pure": (density_from_pure(psi), 0.0),
+            "evolve": (evolve(rho, u), check_unitary(u.matrix)[1]),
+            "project_psd": (project_psd(h), 0.0),
+            "closest_physical_state(array)": (closest_physical_state(scale * h)[0], 0.0),
+            "closest_physical_state(state)": (closest_physical_state(rho)[0], 0.0),
+            "density_of": (density_of(history), 0.0),
+            "compose_pseudopure": (compose_pseudopure(eps, density_from_pure(psi)), 0.0),
+        }
+        for name, (state, defect) in built.items():
+            w, v = state.spectrum
+            assert np.all(np.diff(w) >= 0), name
+            assert max_abs_diff((v * w) @ v.conj().T, _hermitian_part(state.matrix)) <= 1e-12 + defect, name
+            assert max_abs_diff(v.conj().T @ v, np.eye(d)) <= 1e-12 + defect, name
+
+    @settings(deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(densities(n), unitaries(n))))
     def test_evolve_preserves_trace_and_spectrum(self, case):
         rho, u = case
@@ -442,11 +481,10 @@ class TestProperties:
         assert not w.flags.writeable and not v.flags.writeable
         assert np.all(np.diff(w) >= 0)
         assert max_abs_diff((v * w) @ v.conj().T, (rho.matrix + rho.matrix.conj().T) / 2) <= 1e-12
-        bare_rho, bare_sigma = (DensityMatrix(x.matrix, x.dim, x.n_qubits) for x in pair)
-        assert bare_rho.spectrum is None
-        f = fidelity(rho, sigma)
-        assert f == fidelity(bare_rho, bare_sigma) == fidelity(rho, bare_sigma) == fidelity(bare_rho, sigma)
-        assert density_invariants(rho) == density_invariants(bare_rho) == density_invariants(rho.matrix)
+        assert _eigh(rho) is rho.spectrum  # reused, not solved again
+        fresh = _eigh(rho.matrix)
+        assert np.array_equal(fresh[0], w) and np.array_equal(fresh[1], v)
+        assert density_invariants(rho) == density_invariants(rho.matrix)
 
 
 class TestOverflow:

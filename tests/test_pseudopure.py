@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import critical_epsilon_bisection, max_abs_diff, pure_densities, random_pure, random_unitary
-from nmrsim.core import STRICT, DensityMatrix, basis_state, bell_state, density_from_pure, evolve, validate_density
+from helpers import (
+    critical_epsilon_bisection,
+    max_abs_diff,
+    pure_densities,
+    random_pure,
+    random_unitary,
+    unchecked_density,
+)
+from nmrsim.core import STRICT, basis_state, bell_state, density_from_pure, evolve, validate_density
 from nmrsim.errors import (
     DimMismatchError,
     NotPureError,
@@ -32,7 +39,7 @@ def test_non_finite_target_is_numerical_failure(call):
     m = density_from_pure(bell_state("phi+")).matrix.copy()
     m[0, 1] = np.nan
     with pytest.raises(NumericalFailureError, match="non-finite"):
-        call(DensityMatrix(m, 4, 2))
+        call(unchecked_density(m))
 
 
 def test_non_finite_state_is_numerical_failure():
@@ -40,7 +47,7 @@ def test_non_finite_state_is_numerical_failure():
     m = density_from_pure(bell_state("phi+")).matrix.copy()
     m[0, 1] = np.nan
     with pytest.raises(NumericalFailureError, match="non-finite"):
-        extract_epsilon(DensityMatrix(m, 4, 2), density_from_pure(bell_state("phi+")))
+        extract_epsilon(unchecked_density(m), density_from_pure(bell_state("phi+")))
 
 
 class TestCompose:

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import critical_epsilon_bisection, densities, max_abs_diff, random_density, random_pure
+from helpers import critical_epsilon_bisection, densities, max_abs_diff, random_density, random_pure, unchecked_density
 from nmrsim.core import (
     STRICT,
-    DensityMatrix,
     basis_state,
     bell_state,
     density_from_pure,
@@ -50,7 +49,7 @@ class TestPartialTranspose:
             assert np.trace(pt) == np.trace(rho.matrix)
             assert np.array_equal(pt, pt.conj().T)
             # partial transposes of entangled states are not PSD, so rewrap without validation
-            twice = partial_transpose(DensityMatrix(pt, dim, n_qubits), qubit)
+            twice = partial_transpose(unchecked_density(pt), qubit)
             assert np.array_equal(twice, rho.matrix)
 
     @settings(deadline=None)
@@ -59,7 +58,7 @@ class TestPartialTranspose:
         # 1-qubit states have no bipartition, so only 2 and 3 qubits are drawn
         rho, qubit = case
         pt = partial_transpose(rho, qubit)
-        twice = partial_transpose(DensityMatrix(pt, rho.dim, rho.n_qubits), qubit)
+        twice = partial_transpose(unchecked_density(pt), qubit)
         assert np.array_equal(twice, rho.matrix)
 
     def test_bell_pair_on_last_two_qubits(self):
@@ -116,7 +115,7 @@ class TestPptReport:
         # built directly to skip validation: a pure Bell projector with a NaN
         m = density_from_pure(bell_state("phi+")).matrix.copy()
         m[0, 1] = np.nan
-        rho = DensityMatrix(m, 4, 2)
+        rho = unchecked_density(m)
         for check in (is_separable_2q, ppt_first_vs_rest, critical_epsilon):
             with pytest.raises(NumericalFailureError, match="non-finite"):
                 check(rho)

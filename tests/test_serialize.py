@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,29 @@ def test_writing_data_that_is_not_numbers_is_a_bad_argument(m, tmp_path):
     with pytest.raises(BadArgumentError, match="matrix entries"):
         save_matrix(m, tmp_path / "m.json")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.5, -math.inf)], ids=["nan", "inf", "imag-inf"])
+def test_writing_a_non_finite_entry_is_a_bad_argument(entry, tmp_path):
+    m = [[0.5, 0.0], [0.0, entry]]
+    with pytest.raises(BadArgumentError, match="must be finite"):
+        matrix_to_dict(m)
+    with pytest.raises(BadArgumentError, match="must be finite"):
+        save_matrix(m, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
+@given(arrays(complex, array_shapes(min_dims=2, max_dims=2, max_side=4), elements=st.complex_numbers()))
+@example(np.array([[complex(-0.0, math.nan)]]))
+def test_what_save_matrix_writes_load_matrix_reads_back_bit_exact(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        try:
+            save_matrix(m, path)
+        except BadArgumentError:
+            assert not path.exists() and not np.isfinite(m).all()
+            return
+        assert load_matrix(path).tobytes() == m.tobytes()
 
 
 def test_rejects_non_object():

@@ -16,7 +16,10 @@ straight to ``np.array`` or ``np.asarray``: caller data becomes numbers only
 in ``core._numbers``, so one rule decides what counts as a number.  An
 ``isinstance`` against a package type sits only in the three functions that
 dispatch on a state or an array; every guard on a package-typed argument goes
-through ``core._expect``.
+through ``core._expect``.  Each state type has one builder: a ``DensityMatrix``
+is constructed only in ``core._checked_density`` and ``core.evolve``, so every
+state carries its eigenpairs, a ``PureState`` only in ``core.pure_state`` and a
+``UnitaryOperator`` only in ``core.validate_unitary``.
 """
 
 import ast
@@ -44,6 +47,12 @@ PACKAGE_TYPES = {
     "EnsembleHistory",
     "PopulationVector",
     "ValidationProfile",
+}
+BUILDERS = {
+    ("core", "_checked_density", "DensityMatrix"),
+    ("core", "evolve", "DensityMatrix"),
+    ("core", "pure_state", "PureState"),
+    ("core", "validate_unitary", "UnitaryOperator"),
 }
 # ``core._expect`` checks against the type it is handed, so a guard that names a package type here is not it.
 TYPE_CHECKERS = {
@@ -244,3 +253,33 @@ def test_type_check_scan_flags_package_types_only():
         "def h(x):\n    return isinstance(x, (dict, np.ndarray))"
     )
     assert _type_checks("m", ast.parse(src)) == {("m", "f"), ("m", "g")}
+
+
+def _constructions(module: str, tree: ast.AST, where: str = "") -> set[tuple[str, str, str]]:
+    """``(module, function, type)`` of every call that constructs a state type, by name or attribute."""
+    sites = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            if name in {kind for _, _, kind in BUILDERS}:
+                sites.add((module, where, name))
+        sites |= _constructions(module, node, inner)
+    return sites
+
+
+def test_each_state_type_is_constructed_only_by_its_builder():
+    found = set().union(*(_constructions(module, tree) for module, tree in _package_trees().items()))
+    assert found == BUILDERS
+
+
+def test_construction_scan_flags_a_state_built_outside_its_builder():
+    src = (
+        "def pure_state(v):\n    return PureState(v, len(v))\n"
+        "def density_from_pure(psi):\n    return core.DensityMatrix(psi.projector(), psi.dim, 1)\n"
+        "def g(rho):\n    return isinstance(rho, DensityMatrix)"
+    )
+    assert _constructions("core", ast.parse(src)) == {
+        ("core", "pure_state", "PureState"),
+        ("core", "density_from_pure", "DensityMatrix"),
+    }

@@ -8,11 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import densities, max_abs_diff, random_density
+from helpers import densities, max_abs_diff, random_density, unchecked_density
 from nmrsim.core import (
     EXPERIMENTAL,
     STRICT,
-    DensityMatrix,
     basis_state,
     bell_state,
     density_from_pure,
@@ -172,7 +171,7 @@ class TestExpectations:
         # built directly to skip validation: tr(rho Y) = 0.5i, tr(rho X) is real
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NumericalFailureError, match="expectation Y has imaginary part 5.000e-01"):
-            pauli_expectations(DensityMatrix(m, 2, 1))
+            pauli_expectations(unchecked_density(m))
 
     @pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
     def test_nan_entry_is_numerical_failure(self, where):
@@ -180,7 +179,7 @@ class TestExpectations:
         m = np.eye(4, dtype=complex) / 4
         m[where] = np.nan
         with pytest.raises(NumericalFailureError, match="imaginary part nan"):
-            pauli_expectations(DensityMatrix(m, 4, 2))
+            pauli_expectations(unchecked_density(m))
 
     def test_set_invariants(self):
         # a malformed set is a bad argument; a magnitude beyond 1, which an experimental-profile state can give,
@@ -528,7 +527,7 @@ class TestSpectrumReuse:
         want = np.einsum("kij,ji->k", stack, m)[1:]
         assume(np.all(np.abs(np.abs(want.imag) - 1e-12) > 1e-15))  # a residue on the threshold may go either way
         bad = np.flatnonzero(~(np.abs(want.imag) <= 1e-12))
-        state = DensityMatrix(m, rho.dim, rho.n_qubits)
+        state = unchecked_density(m)
         if bad.size:
             label = _pauli_labels(rho.n_qubits)[int(bad[0]) + 1]
             with pytest.raises(NumericalFailureError, match=f"expectation {label} has imaginary part"):
