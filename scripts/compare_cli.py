@@ -14,9 +14,14 @@ block (the ones ``tests/test_cli.py`` runs) in both formats, with their
 through ``tomography --shots 1000`` in both formats; an experimental-profile
 state whose Pauli expectation exceeds 1; malformed matrix and history files;
 unitaries of the wrong size; the combinations of ``separability`` inputs;
-and writes the OS refuses: ``evolve --out`` with a NUL byte in the path, onto
+writes the OS refuses: ``evolve --out`` with a NUL byte in the path, onto
 an existing directory and into a missing directory, and ``repro --export``
-onto an existing regular file.
+onto an existing regular file; an ``ensemble`` history whose label holds a NUL
+character, quotes and non-ASCII text, in both formats; and the argument shapes
+the subcommand dispatch of ``cli.main`` tells apart: no arguments, ``--help``,
+``-h``, an unknown subcommand, an option before the subcommand, each
+subcommand's ``--help``, ``--`` before a subcommand's arguments, and
+arguments no parser recognizes.
 For each command whose exit code, stdout or stderr differs, the script
 prints both sides; it exits 1 if any differs.
 """
@@ -62,6 +67,8 @@ def _inputs(work: Path) -> dict:
         "h-unnormalized": {**member, "re": [1, 1, 0, 0]},
     }
     docs = {**bad_matrices, **{k: {"label": k, "members": [m]} for k, m in bad_histories.items()}}
+    halves = [{**member, "weight": 0.5}, {**member, "weight": 0.5, "re": [0, 0, 0, 1]}]
+    docs["odd-label"] = {"label": 'a\0"b\\ \u00e9\u03bb \U0001f600', "members": halves}
     docs["unitary-3"] = _matrix(np.eye(3))
     docs["unitary-16"] = _matrix(np.eye(16))
     docs["mixed-3q"] = _matrix(np.eye(8) / 8)
@@ -112,7 +119,7 @@ def _readme_commands(data: Path) -> list:
 
 def _commands(data: Path, f: dict) -> list:
     d = {p.stem: str(p) for p in data.glob("*.json")}
-    formatted = _readme_commands(data)
+    formatted = _readme_commands(data) + [["ensemble", f["odd-label"]]]
     formatted += [["tomography", f[f"gen-{n}q-{seed}"], "--shots", "1000", "--seed", str(seed)]
                   for n in (2, 3) for seed in SEEDS]
     commands = [argv + ["--format", fmt] for argv in formatted for fmt in ("text", "json")]
@@ -132,6 +139,11 @@ def _commands(data: Path, f: dict) -> list:
     commands += [["evolve", d["maximally_mixed_2q"], d["step_matrix"], "--out", f[k]]
                  for k in ("w-nul", "w-dir", "w-missing-parent")]
     commands += [["repro", "--export", f["w-file"]]]
+    commands += [[], ["--help"], ["-h"], ["frobnicate"], ["--format", "json", "repro"]]
+    commands += [[sub, "--help"] for sub in ("repro", "evolve", "separability", "tomography", "ensemble")]
+    commands += [["evolve", "--", d["maximally_mixed_2q"], d["step_matrix"]],
+                 ["evolve", d["maximally_mixed_2q"], d["step_matrix"], "extra"],
+                 ["repro", "--format", "json", "x", "--y"], ["tomography", "--shots", "0", "-q", d["ghz3"]]]
     return commands
 
 

@@ -4,6 +4,9 @@ Subcommands: repro, evolve, separability, tomography, ensemble.  Every
 subcommand takes ``--format {text,json}``; commands that validate density
 matrices take ``--profile {strict,experimental}``.  Each subcommand builds
 one result, a dict, and ``--format`` only chooses how ``_render`` prints it.
+JSON output is ``json.dumps(payload, indent=2)`` byte for byte, with each
+matrix in the wire format of :mod:`nmrsim.serialize`.  A subcommand's
+arguments are parsed by that subcommand's parser only.
 
 Exit codes (stable contract):
   0  success
@@ -22,7 +25,6 @@ Set ``NMRSIM_NO_COLOR`` to disable ANSI styling of text output.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -47,7 +49,7 @@ from nmrsim.separability import (
     is_separable_2q,
     ppt_first_vs_rest,
 )
-from nmrsim.serialize import load_json, load_matrix, matrix_to_dict, save_matrix
+from nmrsim.serialize import _to_json, load_json, load_matrix, save_matrix
 from nmrsim.tomography import (
     ShotNoiseConfig,
     closest_physical_state,
@@ -174,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("history", metavar="HISTORY_FILE")
     p.set_defaults(func=cmd_ensemble, text=_text_ensemble)
 
+    parser.commands = sub.choices  # each subcommand's parser by name, for main
     return parser
 
 
@@ -352,7 +355,7 @@ def _text_ensemble(p: dict) -> list[str]:
 def _render(args, payload: dict) -> None:
     """Print one payload: JSON with matrices in the wire format, or the subcommand's text lines."""
     if args.format == "json":
-        out = json.dumps(payload, indent=2, default=matrix_to_dict)
+        out = _to_json(payload)
     else:
         out = "\n".join(args.text(payload))
     sys.stdout.write(out + "\n")  # one write, even when stdout is unbuffered
@@ -360,7 +363,13 @@ def _render(args, payload: dict) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    # a subcommand's arguments are walked by its parser alone; the top-level parser reports any it leaves
+    args, extra = (sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
+                   else (parser.parse_args(argv), []))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code, payload = args.func(args)
     except ValidationError as exc:

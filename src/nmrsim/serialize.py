@@ -4,10 +4,11 @@ Schema: ``{"rows": int, "cols": int, "re": [[float, ...], ...],
 "im": [[float, ...], ...]}``, row-major.  Ragged rows are rejected.  Matrix
 rows and history amplitudes (:mod:`nmrsim.ensemble`) share one rule for JSON
 number lists, ``_require_numbers``, and one construction of their complex
-values, ``_complex_array``.
+values, ``_complex_array``.  ``_to_json`` writes the package's JSON output.
 """
 
 import contextlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from nmrsim.core import _is_integer, _numbers, _real
 from nmrsim.errors import BadArgumentError, ParseError
 
 __all__ = ["matrix_to_dict", "matrix_from_dict", "load_matrix", "save_matrix", "load_json"]
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' C quoting of a string, ASCII only
 
 
 def matrix_to_dict(m) -> dict:
@@ -39,25 +41,30 @@ def _require_number(x, where: str) -> float:
     return v
 
 
-def _require_numbers(values: list, where: str) -> None:
-    """Raise :func:`_require_number`'s ``ParseError`` for the first entry of ``values`` that is not a finite number.
-
-    Only a list that fails one pass over the types and one over the values is checked entry by entry.
-    """
+def _finite_numbers(values: list) -> bool:
+    """Whether every entry is a finite int or float, not a bool: one pass over the types and one over the values."""
     with contextlib.suppress(OverflowError):  # a JSON integer beyond the double range
-        if set(map(type, values)) <= {int, float} and all(map(math.isfinite, values)):
-            return
-    for x in values:
-        _require_number(x, where)
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    return False
+
+
+def _require_numbers(values: list, where: str) -> None:
+    """Raise :func:`_require_number`'s ``ParseError`` for the first entry of ``values`` that is not a finite number."""
+    if not _finite_numbers(values):
+        for x in values:
+            _require_number(x, where)
 
 
 def _parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(part, list) or len(part) != rows:
         raise ParseError(f'"{name}" must be a list of {rows} rows')
-    for i, row in enumerate(part):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
-        _require_numbers(row, f'"{name}"[{i}]')
+    # a well-formed part is checked in one pass over all its entries; only another row by row, to name its first fault
+    if not (set(map(type, part)) == {list} and set(map(len, part)) == {cols}
+            and _finite_numbers(list(itertools.chain.from_iterable(part)))):
+        for i, row in enumerate(part):
+            if not isinstance(row, list) or len(row) != cols:
+                raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
+            _require_numbers(row, f'"{name}"[{i}]')
     return np.array(part, dtype=float)
 
 
@@ -106,7 +113,33 @@ def _writing(path):
         raise BadArgumentError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
+def _to_json(o, nl: str = "\n") -> str:
+    """``json.dumps(o, indent=2, default=matrix_to_dict)`` byte for byte, for str-keyed dicts, lists, tuples,
+    str, int, bool, None, float and arrays: the stdlib indents in pure Python, one call per float of a matrix."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    i = nl + "  "
+    if isinstance(o, (list, tuple)):
+        return "[" + i + ("," + i).join([_to_json(v, i) for v in o]) + nl + "]" if o else "[]"
+    if isinstance(o, dict):
+        items = [f"{_quote(k)}: {_to_json(v, i)}" for k, v in o.items()]
+        return "{" + i + ("," + i).join(items) + nl + "}" if o else "{}"
+    d = matrix_to_dict(o)  # json.dumps' default; its rows are finite floats, so each is written by one join
+    if not d["rows"] * d["cols"]:  # an empty list is written "[]"
+        return _to_json(d, nl)
+    j, k = i + "  ", i + "    "
+    re, im = ("[" + j + ("," + j).join(["[" + k + ("," + k).join(map(float.__repr__, row)) + j + "]" for row in part])
+              + i + "]" for part in (d["re"], d["im"]))
+    return f'{{{i}"rows": {d["rows"]},{i}"cols": {d["cols"]},{i}"re": {re},{i}"im": {im}{nl}}}'
+
+
 def save_matrix(m, path) -> None:
-    text = json.dumps(matrix_to_dict(m), indent=2) + "\n"
+    text = _to_json(_numbers(m, complex, "matrix entries")) + "\n"  # an array, so written as a matrix
     with _writing(path) as p:
         p.write_text(text)

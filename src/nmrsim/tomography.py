@@ -114,11 +114,16 @@ class PauliExpectationSet:
             raise BadArgumentError(f"expected {4**self.n_qubits} expectations, got shape {v.shape}")
         if v[0] != 1.0:
             raise BadArgumentError(f"identity expectation must be exactly 1, got {v[0]}")
-        ok = np.abs(v) <= 1.0 + 1e-12  # NaN fails too
-        if not ok.all():
-            k = int(np.flatnonzero(~ok)[0])
-            raise ValidationError(f"expectation {_pauli_labels(self.n_qubits)[k]} = {v[k]} exceeds magnitude 1")
+        _require_in_range(self.n_qubits, v)
         object.__setattr__(self, "values", _freeze(v))
+
+
+def _require_in_range(n_qubits: int, v: np.ndarray) -> None:
+    """``ValidationError`` naming the first expectation of magnitude above ``1 + 1e-12``, or a NaN."""
+    ok = np.abs(v) <= 1.0 + 1e-12  # NaN fails too
+    if not ok.all():
+        k = int(np.flatnonzero(~ok)[0])
+        raise ValidationError(f"expectation {_pauli_labels(n_qubits)[k]} = {v[k]} exceeds magnitude 1")
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,11 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
     The identity entry is pinned to 1 (the trace, by definition); an imaginary
     residue beyond 1e-12 (or a NaN) on the others is a numerical failure.
     """
+    return PauliExpectationSet(*_exact_values(rho))
+
+
+def _exact_values(rho: DensityMatrix) -> tuple[int, np.ndarray]:
+    """The qubit count and :func:`pauli_expectations`' values, in label order, unchecked for magnitude."""
     n = _expect(rho, DensityMatrix, "state").n_qubits
     # each P is exactly Hermitian, so row k of the flattened stack dotted with conj(rho) is conj(tr(rho P_k))
     t = _stack(n).reshape(4**n, -1) @ rho.matrix.conj().reshape(-1)
@@ -149,7 +159,7 @@ def pauli_expectations(rho: DensityMatrix) -> PauliExpectationSet:
         raise NumericalFailureError(f"expectation {_pauli_labels(n)[k]} has imaginary part {-t.imag[k]:.3e}")
     values = t.real
     values[0] = 1.0
-    return PauliExpectationSet(n, values)
+    return n, values
 
 
 def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpectationSet:
@@ -159,13 +169,13 @@ def simulate_shot_noise(rho: DensityMatrix, cfg: ShotNoiseConfig) -> PauliExpect
     independent +-1 outcomes with ``P(+1) = (1 + t) / 2``; one binomial draw
     per observable in canonical label order.  Deterministic for a fixed seed.
     """
-    exact = pauli_expectations(rho)
+    n, values = _exact_values(rho)
+    _require_in_range(n, values)
     shots = _expect(cfg, ShotNoiseConfig, "shot-noise configuration").shots_per_observable
     rng = np.random.Generator(np.random.PCG64(cfg.seed))  # the generator default_rng(seed) builds
-    ups = rng.binomial(shots, np.minimum(np.maximum((1.0 + exact.values[1:]) / 2.0, 0.0), 1.0))
-    values = exact.values.copy()  # values[0] is the pinned identity entry, 1
-    values[1:] = 2.0 * ups / shots - 1.0
-    return PauliExpectationSet(rho.n_qubits, values)
+    ups = rng.binomial(shots, np.minimum(np.maximum((1.0 + values[1:]) / 2.0, 0.0), 1.0))
+    values[1:] = 2.0 * ups / shots - 1.0  # values[0] is the pinned identity entry, 1
+    return PauliExpectationSet(n, values)
 
 
 def reconstruct_linear(e: PauliExpectationSet) -> np.ndarray:
@@ -186,8 +196,12 @@ def simplex_project(v) -> np.ndarray:
     ``s_k`` the running sum of the ``k`` largest.  If cancellation among huge entries leaves no such ``k``,
     that is a ``NumericalFailureError``.
     """
-    v = _numbers(v, float, "simplex projection input")
-    if v.ndim != 1 or not v.size or not np.isfinite(v).all():
+    return _simplex(_numbers(v, float, "simplex projection input"))
+
+
+def _simplex(v: np.ndarray) -> np.ndarray:
+    """:func:`simplex_project` of a float array, such as eigenvalues, that needs no conversion."""
+    if v.ndim != 1 or not v.size or not np.isfinite(v).all():  # eigenvalues over a tiny trace can overflow
         raise BadArgumentError(f"simplex projection needs a non-empty finite vector, got {v!r}")
     tau, s = None, 0.0
     for k, x in enumerate(sorted(v.tolist(), reverse=True), 1):
@@ -202,7 +216,7 @@ def simplex_project(v) -> np.ndarray:
 
 def _project(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
     """Reassemble eigenpairs ``(w, v)``, ``w`` projected onto the simplex (monotone, so still ascending)."""
-    p = _freeze(simplex_project(w))
+    p = _freeze(_simplex(w))
     return _checked_density((v * p) @ v.conj().T, STRICT, (p, v))
 
 

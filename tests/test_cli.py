@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -624,6 +625,65 @@ class TestParserReuse:
             assert run_cli(capsys, *argv)[0] == 0
         assert build_parser.cache_info().misses == 1
         assert build_parser() is build_parser()
+
+
+SUBCOMMANDS = ("repro", "evolve", "separability", "tomography", "ensemble")
+_USAGE = "usage: nmrsim [-h] {repro,evolve,separability,tomography,ensemble} ...\n"
+
+
+class TestDispatch:
+    """A subcommand's argv is parsed by that subcommand's parser alone; usage errors and help read as before."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repro", "--format", "json"],
+            ["evolve", data_path("maximally_mixed_2q.json"), data_path("step_matrix.json")],
+            ["separability", data_path("maximally_mixed_2q.json"), "--tol", "1e-3"],
+            ["tomography", data_path("maximally_mixed_2q.json"), "--shots", "50", "--seed", "1"],
+            ["ensemble", data_path("bell_mixture.json"), "--format", "json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_subcommand_argv_is_parsed_once(self, capsys, monkeypatch, argv):
+        parsed_by = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            parsed_by.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert parsed_by == [f"nmrsim {argv[0]}"]
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            ([], _USAGE + "nmrsim: error: the following arguments are required: command\n"),
+            (["frobnicate"], _USAGE + "nmrsim: error: argument command: invalid choice: 'frobnicate' "
+                                      "(choose from 'repro', 'evolve', 'separability', 'tomography', 'ensemble')\n"),
+            (["evolve", "A", "B", "extra"], _USAGE + "nmrsim: error: unrecognized arguments: extra\n"),
+            (["repro", "--format", "json", "x", "--y"], _USAGE + "nmrsim: error: unrecognized arguments: x --y\n"),
+        ],
+        ids=["empty", "unknown", "evolve-extra", "repro-extras"],
+    )
+    def test_usage_errors_read_as_the_top_level_parser_writes_them(self, capsys, argv, stderr):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr() == ("", stderr)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"]] + [[sub, "--help"] for sub in SUBCOMMANDS], ids=" ".join
+    )
+    def test_help_exits_zero_with_its_parsers_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(_USAGE if argv[0] not in SUBCOMMANDS else f"usage: nmrsim {argv[0]} [-h]")
+        assert err == ""
 
 
 def readme_commands() -> list[list[str]]:

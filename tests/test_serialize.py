@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -10,7 +11,17 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from nmrsim.ensemble import history_from_dict
 from nmrsim.errors import BadArgumentError, NmrsimError, ParseError
-from nmrsim.serialize import _parse_part, _require_number, load_matrix, matrix_from_dict, matrix_to_dict, save_matrix
+from nmrsim.serialize import (
+    _parse_part,
+    _require_number,
+    _to_json,
+    load_matrix,
+    matrix_from_dict,
+    matrix_to_dict,
+    save_matrix,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Everything json.loads can return.
 json_values = st.recursive(
@@ -164,6 +175,96 @@ def _outcome(parse, part):
 def test_parse_part_matches_the_two_path_oracle(part):
     # the same bit-identical array, or the same first error message, as the parser it replaced
     assert _outcome(_parse_part, part) == _outcome(_two_path_parse_part, part)
+
+
+def _row_by_row_parse_part(part, name: str, rows: int, cols: int) -> np.ndarray:
+    """The matrix-part parser that checked each row on its own, kept as the oracle of the one-pass check."""
+    if not isinstance(part, list) or len(part) != rows:
+        raise ParseError(f'"{name}" must be a list of {rows} rows')
+    for i, row in enumerate(part):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ParseError(f'"{name}" row {i} is ragged: expected {cols} entries')
+        for x in row:
+            _require_number(x, f'"{name}"[{i}]')
+    return np.array(part, dtype=float)
+
+
+def _json_list(items):
+    return items.map(lambda texts: "[" + ", ".join(texts) + "]")
+
+
+# JSON number tokens json.dumps writes, and tokens a part must refuse: non-numbers, nesting, an integer beyond the
+# double range, a float literal that overflows to inf, and the NaN/Infinity tokens json.loads accepts
+_GOOD_TOKENS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers().map(str)
+_BAD_TOKENS = st.sampled_from(
+    ["true", "false", "null", '"0.5"', "[0.5]", "[]", "{}", "1" + "0" * 400, "-1" + "0" * 400, "1e400",
+     "NaN", "Infinity", "-Infinity"]
+)
+# mostly well-formed 3x3 parts, so that whole documents parse often enough to compare their arrays
+_ROW_TEXTS = (_json_list(st.lists(_GOOD_TOKENS, min_size=3, max_size=3))
+              | _json_list(st.lists(_GOOD_TOKENS | _BAD_TOKENS, min_size=2, max_size=4)) | _BAD_TOKENS)
+_PART_TEXTS = (_json_list(st.lists(_ROW_TEXTS, min_size=3, max_size=3))
+               | _json_list(st.lists(_ROW_TEXTS, min_size=2, max_size=4)) | _BAD_TOKENS)
+
+
+@given(_PART_TEXTS, _PART_TEXTS)
+@example("[[0.5, -0.0, 1], [2, 3, 4], [5, 6, 7]]", "[[0, 0, 0], [0, 0, 0], [0, 0, 1e-320]]")
+@example("[[0.5, 0.5, 0.5], [0.5, NaN, 0.5], [0.5, 0.5]]", "[[true, 0, 0]]")
+@example("[[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]", "[[0, 0, 0], [0, [0], 0], [0, 0, 1%s]]" % ("0" * 400))
+def test_one_pass_part_check_matches_the_row_by_row_rule(re_text, im_text):
+    # a decoded document gives the same bit-identical arrays, or the same first error message, as checking each row
+    doc = json.loads('{"re": %s, "im": %s}' % (re_text, im_text))
+
+    def outcome(parse):
+        try:
+            return [(a.dtype, a.shape, a.tobytes()) for a in (parse(doc[k], k, 3, 3) for k in ("re", "im"))]
+        except ParseError as exc:
+            return str(exc)
+
+    assert outcome(_parse_part) == outcome(_row_by_row_parse_part)
+
+
+# Strings a placeholder scheme could have used as a matrix's marker must come out as strings.
+_LABELS = st.text() | st.lists(
+    st.sampled_from(["\x00", '"', "\\", "\u00e9", "\u03bb", "\U0001f600", "\u2028", "\n", "0", "1", "M", "_", "@"]),
+    max_size=6,
+).map("".join)
+_ENTRIES = st.complex_numbers(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [complex(0.5, -0.0), complex(-0.0, -0.0), complex(5e-324, -1e308)]
+)
+_MATRICES = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(lambda s: arrays(complex, s, elements=_ENTRIES))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _LABELS
+            | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+_PAYLOADS = st.recursive(
+    _SCALARS | _MATRICES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_LABELS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_PAYLOADS)
+@example({"label": "\x000\x00", "density": np.eye(2) / 2})
+@example({"label": "\x00M0\x00", "members": [np.eye(1), "\x00M1\x00", {"\x00M0\x00": np.eye(2)}]})
+@example(np.array([[complex(-0.0, -0.0)]]))
+def test_json_writer_matches_json_dumps_byte_for_byte(payload):
+    assert _to_json(payload) == json.dumps(payload, indent=2, default=matrix_to_dict)
+
+
+def _with_arrays(doc):
+    """``doc`` with every wire-format matrix replaced by its array."""
+    if isinstance(doc, dict):
+        if doc.keys() == {"rows", "cols", "re", "im"}:
+            return matrix_from_dict(doc)
+        return {k: _with_arrays(v) for k, v in doc.items()}
+    return [_with_arrays(v) for v in doc] if isinstance(doc, list) else doc
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_json_writer_rewrites_every_golden_payload(path):
+    text = path.read_text()
+    payload = json.loads(text)
+    assert _to_json(payload) + "\n" == text
+    assert _to_json(_with_arrays(payload)) + "\n" == text
 
 
 def test_rejects_bad_dimensions():
