@@ -11,7 +11,6 @@ The trace and the hermiticity defect are measured only by ``_trace_and_defect``.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +30,12 @@ from nmrsim.errors import (
 
 __all__ = [
     "MAX_QUBITS",
-    "PAULI_1Q",
     "ValidationProfile",
     "STRICT",
     "EXPERIMENTAL",
     "DensityMatrix",
     "UnitaryOperator",
     "PureState",
-    "DensityInvariants",
-    "density_invariants",
     "validate_density",
     "validate_unitary",
     "pure_state",
@@ -49,7 +45,6 @@ __all__ = [
     "evolve",
     "fidelity",
     "trace_distance",
-    "tensor",
     "check_unitary",
 ]
 
@@ -61,13 +56,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 MAX_QUBITS = 3
-
-PAULI_1Q = {
-    "I": _freeze(np.eye(2, dtype=complex)),
-    "X": _freeze(np.array([[0, 1], [1, 0]], dtype=complex)),
-    "Y": _freeze(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "Z": _freeze(np.array([[1, 0], [0, -1]], dtype=complex)),
-}
 
 
 @dataclass(frozen=True)
@@ -155,14 +143,6 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-class DensityInvariants(NamedTuple):
-    """Measured density-matrix invariants; see :func:`density_invariants`."""
-
-    trace: complex
-    hermiticity_defect: float
-    min_eigenvalue: float
-
-
 def _numbers(x, dtype, what: str) -> np.ndarray:
     """A C-ordered ``dtype`` copy of caller data ``x``: integer or real numbers, or complex for a complex ``dtype``."""
     try:
@@ -178,13 +158,15 @@ def _numbers(x, dtype, what: str) -> np.ndarray:
 
 
 def _as_complex_matrix(m) -> np.ndarray:
-    """Copy ``m`` into a finite square complex array; every public matrix check starts here."""
+    """Copy ``m`` into a finite, non-empty square complex array; every public matrix check starts here."""
     a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
     _require_finite(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if not len(a):  # before any reduction over its entries, which numpy refuses for an empty array
+        raise DimNotPowerOfTwoError("dimension 0 is not a power of two >= 2")
     return a
 
 
@@ -234,17 +216,6 @@ def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of an array's Hermitian part."""
     return _lapack(np.linalg.eigvalsh, _hermitian_part(a))
-
-
-def density_invariants(m) -> DensityInvariants:
-    """Trace, hermiticity defect and minimum eigenvalue of the Hermitian part.
-
-    The eigenvalue is taken of ``(m + m^dag) / 2`` so that a tiny asymmetry
-    cannot skew the PSD judgement; a validated state's ``spectrum`` is reused.
-    """
-    a = m.matrix if isinstance(m, DensityMatrix) else _as_complex_matrix(m)
-    w, _ = _eigh(m if isinstance(m, DensityMatrix) else a)
-    return DensityInvariants(*_trace_and_defect(a), float(w[0]))
 
 
 def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
@@ -311,10 +282,11 @@ def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
 
 
 def pure_state(amplitudes) -> PureState:
-    """Wrap an amplitude vector, requiring unit norm within 1e-12."""
+    """Wrap an amplitude vector of 1 to ``MAX_QUBITS`` qubits, requiring unit norm within 1e-12."""
     v = _numbers(amplitudes, complex, "state amplitudes").reshape(-1)
     if v.size < 2:
         raise NotNormalizedError(1.0, what="empty or scalar state vector")
+    _n_qubits_for(v.size)  # before any O(d^2) work on the state, such as its projector
     with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
         dev = abs(float(np.linalg.norm(v)) - 1.0)
     if not dev <= 1e-12:  # NaN fails too
@@ -420,8 +392,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _pair(rho, sigma)
     w = _eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(w)))
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two complex matrices; dimensions multiply."""
-    return np.kron(_numbers(a, complex, "tensor factor"), _numbers(b, complex, "tensor factor"))

@@ -34,9 +34,10 @@ import numpy as np
 from nmrsim.core import (
     EXPERIMENTAL,
     UnitaryOperator,
+    _eigh,
     _expect,
     _freeze,
-    density_invariants,
+    _trace_and_defect,
     evolve,
     fidelity,
     trace_distance,
@@ -153,12 +154,12 @@ def load_baselines(path=None) -> dict:
 
 def _diagnose(rho, renormalized: bool = False, projected: bool = False) -> dict:
     """Experimental-profile validation readout for one state."""
-    inv = density_invariants(rho)
+    trace, defect = _trace_and_defect(rho.matrix)
     return {
-        "trace_real": float(inv.trace.real),
-        "trace_deviation": float(abs(inv.trace - 1.0)),
-        "hermiticity_defect": inv.hermiticity_defect,
-        "min_eigenvalue": inv.min_eigenvalue,
+        "trace_real": float(trace.real),
+        "trace_deviation": float(abs(trace - 1.0)),
+        "hermiticity_defect": defect,
+        "min_eigenvalue": float(_eigh(rho)[0][0]),
         "trace_renormalized": renormalized,
         "psd_projected": projected,
     }

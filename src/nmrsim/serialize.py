@@ -26,8 +26,9 @@ def matrix_to_dict(m) -> dict:
     a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
         raise ParseError(f"expected a 2-d matrix, got {a.ndim}-d data")
-    if not np.isfinite(a).all():  # json.dumps would write NaN or Infinity: not JSON, and load_matrix refuses them
-        raise BadArgumentError("matrix entries must be finite to be written as JSON")
+    # load_matrix refuses a matrix with no rows or columns, and NaN and Infinity, which json.dumps would write
+    if not (a.size and np.isfinite(a).all()):
+        raise BadArgumentError(f"matrix entries must be finite and non-empty to be written as JSON, got {a.shape}")
     return {"rows": a.shape[0], "cols": a.shape[1], "re": a.real.tolist(), "im": a.imag.tolist()}
 
 
@@ -130,9 +131,7 @@ def _to_json(o, nl: str = "\n") -> str:
     if isinstance(o, dict):
         items = [f"{_quote(k)}: {_to_json(v, i)}" for k, v in o.items()]
         return "{" + i + ("," + i).join(items) + nl + "}" if o else "{}"
-    d = matrix_to_dict(o)  # json.dumps' default; its rows are finite floats, so each is written by one join
-    if not d["rows"] * d["cols"]:  # an empty list is written "[]"
-        return _to_json(d, nl)
+    d = matrix_to_dict(o)  # json.dumps' default; its rows are non-empty lists of finite floats, each one join
     j, k = i + "  ", i + "    "
     re, im = ("[" + j + ("," + j).join(["[" + k + ("," + k).join(map(float.__repr__, row)) + j + "]" for row in part])
               + i + "]" for part in (d["re"], d["im"]))

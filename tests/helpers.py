@@ -18,9 +18,14 @@ from nmrsim.pseudopure import compose_pseudopure
 from nmrsim.separability import is_separable_2q
 
 
-def random_pure(rng: np.random.Generator, dim: int) -> PureState:
+def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random unit vector of any dimension, beyond the qubit limit too, which ``pure_state`` refuses."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return pure_state(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def random_pure(rng: np.random.Generator, dim: int) -> PureState:
+    return pure_state(random_amplitudes(rng, dim))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_pure, random_unitary
+from helpers import random_amplitudes, random_density, random_unitary
 from nmrsim.cli import main
 from nmrsim.core import EXPERIMENTAL, STRICT, validate_density
 from nmrsim.serialize import matrix_from_dict
@@ -55,7 +55,10 @@ def _states(draw) -> np.ndarray:
     """A 1- to 4-qubit state: pure (as ``--critical`` needs) or of full rank."""
     d, rng = draw(st.sampled_from([2, 4, 8, 16])), _rng(draw)
     pure = d == 16 or draw(st.booleans())
-    return draw(_planted(random_pure(rng, d).projector() if pure else random_density(rng, d).matrix))
+    if pure:
+        v = random_amplitudes(rng, d)  # the projector of a 4-qubit state, which pure_state refuses
+        return draw(_planted(np.outer(v, v.conj())))
+    return draw(_planted(random_density(rng, d).matrix))
 
 
 @st.composite
@@ -91,7 +94,7 @@ def _history_doc(draw) -> dict:
     n = draw(st.sampled_from([1, 2, 2, 3, 4]))
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.sampled_from([True] * 3 + [False])):
-            v = random_pure(_rng(draw), 1 << n).amplitudes
+            v = random_amplitudes(_rng(draw), 1 << n)
             re, im = v.real.tolist(), v.imag.tolist()
         else:
             pairs = draw(st.lists(st.tuples(numbers, numbers), max_size=9))

@@ -18,20 +18,18 @@ from helpers import (
 )
 from nmrsim.core import (
     EXPERIMENTAL,
-    PAULI_1Q,
     STRICT,
     ValidationProfile,
     _eigh,
     _hermitian_part,
+    _trace_and_defect,
     basis_state,
     bell_state,
     check_unitary,
     density_from_pure,
-    density_invariants,
     evolve,
     fidelity,
     pure_state,
-    tensor,
     trace_distance,
     validate_density,
     validate_unitary,
@@ -59,6 +57,7 @@ from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
     closest_physical_state,
+    pauli_matrix,
     project_psd,
     reconstruct_linear,
     simplex_project,
@@ -89,7 +88,7 @@ class TestValidateDensity:
         with pytest.raises(NotSquareError):
             validate_density(np.ones((2, 3)), STRICT)
 
-    @pytest.mark.parametrize("check", [validate_density, check_unitary, project_psd, density_invariants])
+    @pytest.mark.parametrize("check", [validate_density, check_unitary, project_psd, closest_physical_state])
     @pytest.mark.parametrize(
         "m, error",
         [
@@ -97,11 +96,12 @@ class TestValidateDensity:
             (np.ones(4) / 4, NotSquareError),
             ([[1, 0], [0, "x"]], BadArgumentError),
             ([[0.5, 0], [0.5]], BadArgumentError),
+            (np.zeros((0, 0)), DimNotPowerOfTwoError),
         ],
-        ids=["2x3", "1-d", "non-numeric", "ragged"],
+        ids=["2x3", "1-d", "non-numeric", "ragged", "0x0"],
     )
     def test_every_matrix_entry_point_types_malformed_input(self, check, m, error):
-        # numpy's own conversion and broadcasting errors are not NmrsimErrors
+        # numpy's own conversion, broadcasting and empty-reduction errors are not NmrsimErrors
         with pytest.raises(error):
             check(m)
 
@@ -123,14 +123,12 @@ class TestValidateDensity:
 
     def test_error_order_hermiticity_then_trace_then_psd(self):
         m = np.diag([1.0, 0.5, -0.1, -0.1]).astype(complex)
-        inv = density_invariants(m)
-        assert inv.trace == pytest.approx(1.3)
-        assert inv.hermiticity_defect == 0.0
-        assert inv.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+        assert _trace_and_defect(m) == (pytest.approx(1.3), 0.0)
+        assert _eigh(m)[0][0] == pytest.approx(-0.1, abs=1e-12)
         with pytest.raises(BadTraceError):
             validate_density(m, STRICT)
         m[0, 1] = 0.25
-        assert density_invariants(m).hermiticity_defect == pytest.approx(0.25)
+        assert _trace_and_defect(m)[1] == pytest.approx(0.25)
         with pytest.raises(NotHermitianError):
             validate_density(m, STRICT)
 
@@ -140,7 +138,7 @@ class TestValidateDensity:
         m = np.eye(2, dtype=complex) / 2
         m[where] = np.nan
         with pytest.raises(NumericalFailureError, match="non-finite"):
-            density_invariants(m)
+            _eigh(m)
         with pytest.raises(NumericalFailureError, match="non-finite"):
             validate_density(m, STRICT)
 
@@ -172,7 +170,7 @@ class TestEvolve:
 
     def test_bit_flip_on_first_qubit(self):
         rho = density_from_pure(basis_state(2, 0))
-        u = validate_unitary(tensor(PAULI_1Q["X"], PAULI_1Q["I"]))
+        u = validate_unitary(pauli_matrix("XI"))
         out = evolve(rho, u)
         expected = density_from_pure(basis_state(2, 2))
         assert max_abs_diff(out.matrix, expected.matrix) == 0.0
@@ -267,22 +265,22 @@ class TestFidelityAndTraceDistance:
 
 
 class TestTensor:
+    """Tensor products of Paulis, as ``pauli_matrix`` forms them, on the computational basis."""
+
     def test_identity(self):
-        assert max_abs_diff(tensor(PAULI_1Q["I"], PAULI_1Q["I"]), np.eye(4)) == 0.0
+        assert max_abs_diff(pauli_matrix("II"), np.eye(4)) == 0.0
 
     def test_z_times_identity(self):
-        assert max_abs_diff(tensor(PAULI_1Q["Z"], PAULI_1Q["I"]), np.diag([1, 1, -1, -1])) == 0.0
+        assert max_abs_diff(pauli_matrix("ZI"), np.diag([1, 1, -1, -1])) == 0.0
 
     def test_xx_flips_basis_state(self):
-        xx = tensor(PAULI_1Q["X"], PAULI_1Q["X"])
-        out = xx @ basis_state(2, 0).amplitudes
+        out = pauli_matrix("XX") @ basis_state(2, 0).amplitudes
         assert max_abs_diff(out, basis_state(2, 3).amplitudes) == 0.0
 
     def test_associative_on_exact_inputs(self):
-        a, b, c = PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"]
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.array_equal(left, right)
+        left = np.kron(pauli_matrix("XY"), pauli_matrix("Z"))
+        right = np.kron(pauli_matrix("X"), pauli_matrix("YZ"))
+        assert np.array_equal(left, right) and np.array_equal(left, pauli_matrix("XYZ"))
 
 
 class TestCheckUnitary:
@@ -351,6 +349,16 @@ class TestPureStates:
     def test_fewer_than_two_amplitudes_rejected(self, amplitudes):
         with pytest.raises(NotNormalizedError, match="empty or scalar"):
             pure_state(amplitudes)
+
+    @pytest.mark.parametrize(
+        "size, error, message",
+        [(3, DimNotPowerOfTwoError, "dimension 3 is not a power of two"), (16, WrongDimError, "at most 3 qubits")],
+    )
+    @pytest.mark.parametrize("norm", [1.0, 2.0], ids=["normalized", "unnormalized"])
+    def test_dimension_is_checked_before_the_norm(self, size, error, message, norm):
+        # the errors validate_density raises for the state's projector, before any d x d array is built
+        with pytest.raises(error, match=message):
+            pure_state(np.full(size, norm / np.sqrt(size)))
 
     def test_basis_index_out_of_range(self):
         with pytest.raises(BadArgumentError, match="basis index 4 out of range for dimension 4"):
@@ -484,7 +492,6 @@ class TestProperties:
         assert _eigh(rho) is rho.spectrum  # reused, not solved again
         fresh = _eigh(rho.matrix)
         assert np.array_equal(fresh[0], w) and np.array_equal(fresh[1], v)
-        assert density_invariants(rho) == density_invariants(rho.matrix)
 
 
 class TestOverflow:
@@ -496,7 +503,7 @@ class TestOverflow:
         assert exc.value.min_eigenvalue == -1e308
 
     def test_overflowing_defect_is_infinite(self):
-        assert density_invariants(np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)).hermiticity_defect == np.inf
+        assert _trace_and_defect(np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex))[1] == np.inf
         with pytest.raises(NotHermitianError):
             validate_density([[0.5, 1e308], [-1e308, 0.5]], EXPERIMENTAL)
 
@@ -557,8 +564,6 @@ NOT_NUMBERS = {
     "non-numeric amplitude": lambda: pure_state([1, "x"]),
     "numeric-string amplitudes": lambda: pure_state(["1", "0"]),
     "ragged amplitudes": lambda: pure_state([[1, 0], [0]]),
-    "string tensor factor": lambda: tensor(["x"], _I2),
-    "bool tensor factor": lambda: tensor([[True]], _I2),
     "numeric-string populations": lambda: PopulationVector(["3", "1"]),
     "non-numeric population": lambda: PopulationVector(["x", 1]),
     "complex population": lambda: PopulationVector([3 + 1j, 1]),
@@ -586,12 +591,9 @@ COMPLEX_TARGETS = (
     validate_density,
     validate_unitary,
     check_unitary,
-    density_invariants,
     project_psd,
     closest_physical_state,
     pure_state,
-    lambda x: tensor(x, _I2),
-    lambda x: tensor(_I2, x),
 )
 REAL_TARGETS = (lambda x: PauliExpectationSet(1, x), PopulationVector, simplex_project)
 _SHAPES = st.sampled_from([(2,), (4,), (2, 2), (4, 4)])

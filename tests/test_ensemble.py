@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import max_abs_diff, random_product_pure
-from nmrsim.core import basis_state, bell_state, pure_state, tensor
+from nmrsim.core import basis_state, bell_state, pure_state
 from nmrsim.ensemble import (
     EnsembleHistory,
     concurrence,
@@ -14,7 +14,14 @@ from nmrsim.ensemble import (
     entanglement_report,
     history_from_dict,
 )
-from nmrsim.errors import BadArgumentError, DimMismatchError, NotNormalizedError, ParseError, WrongDimError
+from nmrsim.errors import (
+    BadArgumentError,
+    DimMismatchError,
+    DimNotPowerOfTwoError,
+    NotNormalizedError,
+    ParseError,
+    WrongDimError,
+)
 from nmrsim.serialize import load_json
 
 
@@ -87,7 +94,7 @@ class TestConcurrence:
             psi = pure_state(v / np.linalg.norm(v))
             ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            rotated = pure_state(tensor(ua, ub) @ psi.amplitudes)
+            rotated = pure_state(np.kron(ua, ub) @ psi.amplitudes)
             assert abs(concurrence(rotated) - concurrence(psi)) < 1e-10
 
 
@@ -201,6 +208,14 @@ def test_history_amplitudes_keep_the_sign_of_a_zero():
     amps = h.members[0][1].amplitudes
     assert np.signbit(amps.imag).tolist() == [False, True, False, False]
     assert not np.signbit(amps.real).any()
+
+
+@pytest.mark.parametrize("size, error", [(3, DimNotPowerOfTwoError), (16, WrongDimError)])
+def test_member_of_unsupported_dimension_is_refused_as_it_is_read(size, error):
+    # density_of built the d x d sum of member projectors before validation refused it
+    member = {"weight": 1, "re": [1.0] + [0.0] * (size - 1), "im": [0.0] * size}
+    with pytest.raises(error):
+        history_from_dict({"label": "big", "members": [member]})
 
 
 @pytest.mark.parametrize(

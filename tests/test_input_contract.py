@@ -6,7 +6,8 @@ edit here.  For each callable the sweep first finds, from one fixed pool of
 values, an argument list that succeeds (a callable that never succeeds would
 hide every later parameter behind an early rejection).  Then every positional
 parameter, defaulted or not, takes every pool value while the others keep
-their working values.  The pool mixes numbers, data that is not numbers, the
+their working values.  The pool mixes numbers (empty matrices and matrices
+whose trace is tiny or subnormal among them), data that is not numbers, the
 wrong package type and one valid instance of each package type.
 
 Two rules hold for every call:
@@ -41,7 +42,8 @@ PATH = "state.json"  # a matrix document each sweep writes into its own working 
 _BELL = bell_state("phi+")
 NUMBERS = [
     1.5, 1.0, 0.5, -1, 1, 2, 10**400, math.nan, [], [(1.0,)], [1.0, 0.0, 0.0, 0.0],
-    np.eye(4) / 4, (np.eye(8) / 8).tolist(), np.eye(4),
+    np.eye(4) / 4, (np.eye(8) / 8).tolist(), np.eye(4), np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+    np.array([[5e-301, 1e300], [1e300, 5e-301]]), np.full((2, 2), 5e-324),
 ]
 NOT_NUMBERS = [
     None, True, "x", "0.5", {}, [[1, 0], [0]], [[0.5, False], [0, 0.5]], [[True, False], [False, True]],

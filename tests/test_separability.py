@@ -10,7 +10,6 @@ from nmrsim.core import (
     bell_state,
     density_from_pure,
     pure_state,
-    tensor,
     validate_density,
 )
 from nmrsim.errors import NotPureError, NumericalFailureError, WrongDimError
@@ -189,7 +188,7 @@ class TestCriticalEpsilon:
             rho1 = density_from_pure(random_pure(rng, 4))
             ua, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             ub, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            u = tensor(ua, ub)
+            u = np.kron(ua, ub)
             rotated = validate_density(u @ rho1.matrix @ u.conj().T, STRICT)
             assert abs(critical_epsilon(rho1) - critical_epsilon(rotated)) < 1e-9
 

@@ -57,7 +57,6 @@ BUILDERS = {
 # ``core._expect`` checks against the type it is handed, so a guard that names a package type here is not it.
 TYPE_CHECKERS = {
     ("core", "_eigh"),
-    ("core", "density_invariants"),
     ("tomography", "closest_physical_state"),
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from functools import reduce
 
@@ -12,10 +13,11 @@ from helpers import densities, max_abs_diff, random_density, unchecked_density
 from nmrsim.core import (
     EXPERIMENTAL,
     STRICT,
+    _eigh,
+    _trace_and_defect,
     basis_state,
     bell_state,
     density_from_pure,
-    density_invariants,
     fidelity,
     validate_density,
 )
@@ -36,6 +38,7 @@ from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
     _pauli_labels,
+    _stack,
     closest_physical_state,
     pauli_expectations,
     pauli_matrix,
@@ -114,7 +117,30 @@ def by_label(e):
     return dict(zip(_pauli_labels(e.n_qubits), e.values.tolist()))
 
 
+# the 2x2 Pauli definitions, written out independently of the package's table
+_SIGMA = {"I": ((1, 0), (0, 1)), "X": ((0, 1), (1, 0)), "Y": ((0, -1j), (1j, 0)), "Z": ((1, 0), (0, -1))}
+
+
 class TestPauliBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_the_definitions_by_index_arithmetic(self, n):
+        # entry (r, c) of a product is the product over qubits k of sigma_{label_k}[bit_k(r), bit_k(c)], qubit 1
+        # the most significant bit; the reference reads neither pauli_matrix nor the stack
+        d = 1 << n
+        bits = [[(i >> (n - 1 - k)) & 1 for k in range(n)] for i in range(d)]
+        want = [
+            [[math.prod(_SIGMA[ch][bits[r][k]][bits[c][k]] for k, ch in enumerate(label)) for c in range(d)]
+             for r in range(d)]
+            for label in itertools.product("IXYZ", repeat=n)
+        ]
+        assert _stack(n).dtype == complex and np.array_equal(_stack(n), np.array(want, dtype=complex))
+
+    @pytest.mark.parametrize("label", ["IIII", "XYZXY"])
+    def test_label_beyond_the_qubit_limit_is_refused(self, label):
+        # such a product was formed and kept in the unbounded cache
+        with pytest.raises(WrongDimError, match="at most 3 qubits are supported"):
+            pauli_matrix(label)
+
     def test_labels_canonical_order(self):
         assert _pauli_labels(1) == ("I", "X", "Y", "Z")
         assert _pauli_labels(2)[:5] == ("II", "IX", "IY", "IZ", "XI")
@@ -485,6 +511,17 @@ class TestClosestPhysicalState:
         with pytest.raises(BadTraceError):
             closest_physical_state(m)
 
+    @pytest.mark.parametrize(
+        "m", [[[5e-301, 1e300], [1e300, 5e-301]], np.full((2, 2), 5e-324)], ids=["huge-eigenvalues", "subnormal"]
+    )
+    def test_trace_too_small_to_divide_by_is_bad_trace(self, m):
+        # dividing by it overflowed with a RuntimeWarning, then the simplex step refused the infinite eigenvalues
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadTraceError) as exc:
+                closest_physical_state(m)
+        assert exc.value.deviation == 1.0
+
     def test_unprojected_branch_keeps_the_dimension_check(self):
         with pytest.raises(DimNotPowerOfTwoError):
             closest_physical_state(np.eye(3) / 3)
@@ -616,7 +653,7 @@ def adversarial_squares(draw):
     return m
 
 
-# the trace deviation each check site reports, from the trace that density_invariants measures
+# the trace deviation each check site reports, from the trace that _trace_and_defect measures
 _CHECK_SITES = {
     "validate_density strict": (lambda a: validate_density(a, STRICT), lambda t: abs(t - 1.0)),
     "validate_density experimental": (lambda a: validate_density(a, EXPERIMENTAL), lambda t: abs(t - 1.0)),
@@ -629,16 +666,16 @@ _CHECK_SITES = {
 @settings(deadline=None)
 @given(a=adversarial_squares())
 def test_check_sites_report_the_measured_invariants(site, a):
-    # one measurement serves validation and both projections, so a rejection reports density_invariants' numbers
+    # one measurement serves validation and both projections, so a rejection reports _trace_and_defect's numbers
     check, trace_deviation = _CHECK_SITES[site]
-    inv = density_invariants(a)
+    trace, defect = _trace_and_defect(a)
     try:
         check(a)
     except NotHermitianError as exc:
-        assert exc.deviation == inv.hermiticity_defect
+        assert exc.deviation == defect
     except BadTraceError as exc:
-        assert np.array_equal(exc.deviation, trace_deviation(inv.trace), equal_nan=True)
+        assert np.array_equal(exc.deviation, trace_deviation(trace), equal_nan=True)
     except NotPsdError as exc:
-        assert site.startswith("validate_density") and exc.min_eigenvalue == inv.min_eigenvalue
+        assert site.startswith("validate_density") and exc.min_eigenvalue == _eigh(a)[0][0]
     except NmrsimError:
         pass
