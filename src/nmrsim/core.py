@@ -1,11 +1,13 @@
 """Dense complex linear algebra and validated quantum-state/operator types.
 
 States and operators are plain complex ``numpy`` arrays wrapped in thin frozen
-dataclasses whose defining invariants are checked at construction time.  All
-operations are pure functions: inputs are never mutated, wrapped arrays are
-marked read-only, and values can be shared freely between threads.  Every
-``DensityMatrix`` carries the eigenpairs of its matrix's Hermitian part, which
-``_eigh`` returns; every eigen-solve in the package goes through ``_eigh`` or ``_eigvalsh``.
+dataclasses.  A state, pure state or operator comes from its builder, which
+checks its invariants and marks it; one built by hand or by ``dataclasses.replace``
+is a ``BadArgumentError``.  All operations are pure functions: inputs are never
+mutated, wrapped arrays are marked read-only, and values can be shared freely
+between threads.  Every ``DensityMatrix`` carries the eigenpairs of its matrix's
+Hermitian part, which ``_eigh`` returns; every eigen-solve in the package goes
+through ``_eigh`` or ``_eigvalsh``.
 The trace and the hermiticity defect are measured only by ``_trace_and_defect``.
 """
 
@@ -91,9 +93,18 @@ def _real(x, other: float | None = math.nan) -> float | None:
 
 
 def _expect(x, cls, what: str):
-    """``x`` if it is a ``cls``, else a ``BadArgumentError`` naming ``what``; the one package-type guard."""
+    """The one package-type guard: ``x`` if it is a ``cls``, from its ``_builder`` if any, else ``BadArgumentError``."""
     if not isinstance(x, cls):
         raise BadArgumentError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+    builder = getattr(cls, "_builder", None)
+    if builder and "_sealed" not in x.__dict__:
+        raise BadArgumentError(f"{what} must be a {cls.__name__} from {builder}, not one built by hand or replaced")
+    return x
+
+
+def _seal(x):
+    """Mark ``x`` as made by its type's builder, the only instances ``_expect`` accepts, and return it."""
+    object.__setattr__(x, "_sealed", True)
     return x
 
 
@@ -113,10 +124,12 @@ class DensityMatrix:
 
     A state is its read-only ``matrix`` plus ``spectrum``, the read-only
     eigenpairs ``(w, v)`` of the Hermitian part of ``matrix``, ``w`` ascending,
-    which every later eigen-solve on the state reuses.  Only ``_checked_density``
-    (behind :func:`validate_density` and every validating builder) and :func:`evolve` build one.
+    which every later eigen-solve on the state reuses.  Only ``_checked_density`` (behind
+    :func:`validate_density` and every validating builder) and :func:`evolve` build one; every
+    function refuses one built by hand or by ``dataclasses.replace`` with a ``BadArgumentError``.
     """
 
+    _builder = "validate_density"
     matrix: np.ndarray
     dim: int
     n_qubits: int
@@ -127,6 +140,7 @@ class DensityMatrix:
 class UnitaryOperator:
     """One quantum-computation step; ``U^dag U = I`` within 1e-10."""
 
+    _builder = "validate_unitary"
     matrix: np.ndarray
     dim: int
 
@@ -135,6 +149,7 @@ class UnitaryOperator:
 class PureState:
     """State vector with unit 2-norm (within 1e-12)."""
 
+    _builder = "pure_state"
     amplitudes: np.ndarray
     dim: int
 
@@ -158,15 +173,14 @@ def _numbers(x, dtype, what: str) -> np.ndarray:
 
 
 def _as_complex_matrix(m) -> np.ndarray:
-    """Copy ``m`` into a finite, non-empty square complex array; every public matrix check starts here."""
+    """A finite square complex copy of ``m`` of 1 to ``MAX_QUBITS`` qubits; every public matrix check starts here."""
     a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
         raise NotSquareError(f"expected a 2-d matrix, got {a.ndim}-d data")
     _require_finite(a)
     if a.shape[0] != a.shape[1]:
         raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if not len(a):  # before any reduction over its entries, which numpy refuses for an empty array
-        raise DimNotPowerOfTwoError("dimension 0 is not a power of two >= 2")
+    _n_qubits_for(len(a))  # before any O(d^3) work, and any reduction numpy refuses for an empty array
     return a
 
 
@@ -208,7 +222,7 @@ def _lapack(solver, a: np.ndarray, **kw):
 def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigenpairs ``(w, v)``, ``w`` ascending, of an array's Hermitian part, or a state's ``spectrum``."""
     if isinstance(m, DensityMatrix):
-        return m.spectrum
+        return _expect(m, DensityMatrix, "state").spectrum
     w, v = _lapack(np.linalg.eigh, _hermitian_part(m))
     return _freeze(w), _freeze(v)
 
@@ -256,7 +270,7 @@ def _checked_density(a: np.ndarray, profile: ValidationProfile, spectrum=None) -
         raise BadTraceError(trace_dev)
     if w[0] < -profile.psd_tol:
         raise NotPsdError(w[0])
-    return DensityMatrix(_freeze(a), len(a), n, (w, v))
+    return _seal(DensityMatrix(_freeze(a), len(a), n, (w, v)))
 
 
 def _unitarity(a: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -273,12 +287,10 @@ def check_unitary(m, tol: float = 1e-10) -> tuple[bool, float]:
 
 def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
     """Wrap ``m`` as a :class:`UnitaryOperator` of 1 to ``MAX_QUBITS`` qubits, or raise ``NotUnitaryError``."""
-    a = _as_complex_matrix(m)
-    _n_qubits_for(len(a))
-    ok, defect = _unitarity(a, tol)
+    ok, defect = _unitarity(a := _as_complex_matrix(m), tol)
     if not ok:
         raise NotUnitaryError(defect)
-    return UnitaryOperator(_freeze(a), len(a))
+    return _seal(UnitaryOperator(_freeze(a), len(a)))
 
 
 def pure_state(amplitudes) -> PureState:
@@ -291,7 +303,7 @@ def pure_state(amplitudes) -> PureState:
         dev = abs(float(np.linalg.norm(v)) - 1.0)
     if not dev <= 1e-12:  # NaN fails too
         raise NotNormalizedError(dev, what="state vector")
-    return PureState(_freeze(v), v.size)
+    return _seal(PureState(_freeze(v), v.size))
 
 
 def _is_integer(x) -> bool:
@@ -351,7 +363,8 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     if _expect(rho, DensityMatrix, "state").dim != _expect(u, UnitaryOperator, "step operator").dim:
         raise DimMismatchError(f"state dim {rho.dim} != operator dim {u.dim}")
     m = u.matrix @ rho.matrix @ u.matrix.conj().T
-    return DensityMatrix(_freeze(m), rho.dim, rho.n_qubits, (rho.spectrum[0], _freeze(u.matrix @ rho.spectrum[1])))
+    spectrum = (rho.spectrum[0], _freeze(u.matrix @ rho.spectrum[1]))
+    return _seal(DensityMatrix(_freeze(m), rho.dim, rho.n_qubits, spectrum))
 
 
 _EPS = float(np.finfo(float).eps)

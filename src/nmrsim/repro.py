@@ -37,6 +37,7 @@ from nmrsim.core import (
     _eigh,
     _expect,
     _freeze,
+    _real,
     _trace_and_defect,
     evolve,
     fidelity,
@@ -44,7 +45,7 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
-from nmrsim.errors import ParseError
+from nmrsim.errors import BadArgumentError, ParseError
 from nmrsim.serialize import _require_number, _writing, load_json, load_matrix
 from nmrsim.tomography import closest_physical_state
 
@@ -220,12 +221,13 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
     _expect(report, ReproReport, "report")
     values, tolerances, ceiling = _baseline_numbers(baselines, "baselines")
     checks = []
-    for name in _CHECKED:
-        value = float(getattr(report, name))
+    for name in _CHECKED:  # a hand-built report's field may be no number at all
+        if (value := _real(getattr(report, name), None)) is None:
+            raise BadArgumentError(f"report field {name} must be a number, got {type(getattr(report, name)).__name__}")
         frozen, tol = values[name], tolerances[name]
         checks.append(BaselineCheck(name, value, frozen, tol, abs(value - frozen) <= tol))
     if ceiling is not None:
-        dev = report.max_dev_vs_printed_th
+        dev = _real(report.max_dev_vs_printed_th)
         checks.append(BaselineCheck("max_dev_documented_ceiling", dev, ceiling, ceiling, dev <= ceiling))
     return checks
 

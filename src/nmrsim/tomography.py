@@ -253,7 +253,7 @@ def closest_physical_state(m) -> tuple[DensityMatrix, bool, bool]:
     so the eigenvalues were projected.
     """
     is_state = isinstance(m, DensityMatrix)
-    a = m.matrix if is_state else _as_complex_matrix(m)
+    a = _expect(m, DensityMatrix, "state").matrix if is_state else _as_complex_matrix(m)
     trace, defect = _trace_and_defect(a)
     if not is_state and defect > EXPERIMENTAL.hermiticity_tol:
         raise NotHermitianError(defect)

@@ -9,6 +9,7 @@ from nmrsim.core import (
     PureState,
     UnitaryOperator,
     _eigh,
+    _seal,
     density_from_pure,
     pure_state,
     validate_density,
@@ -35,10 +36,11 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryOperator:
+    """A random unitary of any dimension, beyond the qubit limit too, marked as if ``validate_unitary`` built it."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return UnitaryOperator(q, dim)
+    return _seal(UnitaryOperator(q, dim))
 
 
 def random_product_pure(rng: np.random.Generator) -> PureState:
@@ -49,13 +51,13 @@ def random_product_pure(rng: np.random.Generator) -> PureState:
 
 
 def unchecked_density(m: np.ndarray) -> DensityMatrix:
-    """``m`` wrapped without validation, to reach a guard behind it; every state carries eigenpairs.
+    """``m`` wrapped without validation but marked as built, to reach a guard behind it; every state carries eigenpairs.
 
     They are those of ``m``'s Hermitian part, or all NaN if ``m`` has a non-finite entry and so has none.
     """
     d = len(m)
     spectrum = _eigh(m) if np.isfinite(m).all() else (np.full(d, np.nan), np.full((d, d), np.nan + 0j))
-    return DensityMatrix(m, d, d.bit_length() - 1, spectrum)
+    return _seal(DensityMatrix(m, d, d.bit_length() - 1, spectrum))
 
 
 def max_abs_diff(a, b) -> float:

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +23,12 @@ from helpers import (
 from nmrsim.core import (
     EXPERIMENTAL,
     STRICT,
+    DensityMatrix,
+    PureState,
+    UnitaryOperator,
     ValidationProfile,
     _eigh,
+    _expect,
     _hermitian_part,
     _trace_and_defect,
     basis_state,
@@ -49,7 +57,7 @@ from nmrsim.errors import (
     NumericalFailureError,
     WrongDimError,
 )
-from nmrsim.ensemble import EnsembleHistory, density_of
+from nmrsim.ensemble import EnsembleHistory, concurrence, density_of
 from nmrsim.pseudopure import PopulationVector, compose_pseudopure, extract_epsilon
 from nmrsim.repro import load_dataset
 from nmrsim.separability import is_separable_2q, partial_transpose
@@ -550,9 +558,48 @@ def test_qubit_limit_is_checked_after_the_power_of_two(dim, error):
         validate_density(np.eye(dim) / dim)
 
 
+@pytest.mark.parametrize("check", [project_psd, closest_physical_state, check_unitary])
+def test_qubit_limit_is_checked_before_any_eigen_solve(check, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigen-solve ran on a matrix beyond the qubit limit")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(WrongDimError):
+        check(np.eye(16) / 16)
+
+
 _I2 = np.eye(2)
 _BELL = density_from_pure(bell_state("phi+"))
 _MIXED = validate_density(np.eye(4) / 4)
+
+# Each call passes a state type that its builder did not make; a wrong number or a raw error came out of each.
+_FORGED = (np.array([0, 0, 0, 1.0]), np.eye(4))  # the eigenpairs of |11><11|, not of I/4
+NOT_BUILT = {
+    "forged spectrum": ("validate_density", lambda: fidelity(DensityMatrix(np.eye(4) / 4, 4, 2, _FORGED), _MIXED)),
+    "hand-built step": ("validate_unitary", lambda: evolve(_MIXED, UnitaryOperator(2 * np.eye(4), 4))),
+    "hand-built pure state": ("pure_state", lambda: concurrence(PureState(np.array([2, 0, 0, 2]), 4))),
+    "replaced state": ("validate_density", lambda: fidelity(replace(_MIXED, matrix=np.eye(4) / 2), _MIXED)),
+    "replaced state, projected": ("validate_density", lambda: closest_physical_state(replace(_MIXED, matrix=_I2))),
+    "hand-built history member": ("pure_state", lambda: EnsembleHistory("l", [(1.0, PureState(np.eye(4)[0], 4))])),
+}
+
+
+@pytest.mark.parametrize("builder, call", NOT_BUILT.values(), ids=NOT_BUILT.keys())
+def test_a_state_type_not_from_its_builder_is_refused_naming_the_builder(builder, call):
+    with pytest.raises(BadArgumentError, match=f"from {builder},"):
+        call()
+
+
+@pytest.mark.parametrize("built", [_MIXED, bell_state("psi-"), validate_unitary(_I2)], ids=["state", "pure", "step"])
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_a_copied_or_pickled_state_type_keeps_its_builders_mark(built, duplicate):
+    twin = duplicate(built)
+    assert _expect(twin, type(built), "copy") is twin
+    data = next(iter(vars(built)))  # the matrix or the amplitudes
+    assert np.array_equal(getattr(twin, data), getattr(built, data))
+
 
 # Each call passes data that is not numbers of the kind its argument takes; each was once accepted or raised a raw
 # numpy or Python error.

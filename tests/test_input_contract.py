@@ -8,14 +8,18 @@ hide every later parameter behind an early rejection).  Then every positional
 parameter, defaulted or not, takes every pool value while the others keep
 their working values.  The pool mixes numbers (empty matrices and matrices
 whose trace is tiny or subnormal among them), data that is not numbers, the
-wrong package type and one valid instance of each package type.
+wrong package type, one valid instance of each package type and, in
+``FORGERIES``, instances of the state types and of ``ReproReport`` that no
+builder made: built by the constructor or by ``dataclasses.replace``.
 
-Two rules hold for every call:
+Three rules hold for every call, and any warning fails the sweep:
 
 - only a result or an ``NmrsimError`` comes out;
 - where a parameter works with numbers and refuses ``None``, it refuses every
   value in ``NOT_NUMBERS`` with a ``BadArgumentError``; where it works with an
-  int, it refuses every float the same way.
+  int, it refuses every float the same way;
+- where a parameter accepts a genuine instance of a type in ``FORGERIES``, it
+  refuses each forgery of that type with a ``BadArgumentError``.
 
 One exemption: ``tomography.pauli_matrix`` is an ``lru_cache``, which raises
 ``TypeError`` for an unhashable argument before the function body runs.
@@ -25,15 +29,25 @@ import importlib
 import inspect
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nmrsim.core import ValidationProfile, bell_state, density_from_pure, validate_density, validate_unitary
+from nmrsim.core import (
+    DensityMatrix,
+    PureState,
+    UnitaryOperator,
+    ValidationProfile,
+    bell_state,
+    density_from_pure,
+    validate_density,
+    validate_unitary,
+)
 from nmrsim.ensemble import EnsembleHistory
 from nmrsim.errors import BadArgumentError, NmrsimError
 from nmrsim.pseudopure import PopulationVector
-from nmrsim.repro import load_baselines, reproduce_theory
+from nmrsim.repro import ReproReport, load_baselines, reproduce_theory
 from nmrsim.serialize import matrix_to_dict, save_matrix
 from nmrsim.tomography import PauliExpectationSet, ShotNoiseConfig, pauli_matrix
 
@@ -50,12 +64,24 @@ NOT_NUMBERS = [
     [["0.5", 0], [0, "0.5"]], ["1", "0"], [1, "x"],
 ]
 
+_MIXED, _IDENTITY = validate_density(np.eye(4) / 4), validate_unitary(np.eye(4))
+FORGERIES = {
+    DensityMatrix: [
+        DensityMatrix(np.eye(4) / 4, 4, 2, (np.array([0, 0, 0, 1.0]), np.eye(4))),  # a forged spectrum
+        DensityMatrix("x", 4, 2, None),
+        replace(_MIXED, matrix=np.eye(4) / 2),
+    ],
+    PureState: [PureState(np.array([2, 0, 0, 2]), 4), replace(_BELL, amplitudes=2 * _BELL.amplitudes)],
+    UnitaryOperator: [UnitaryOperator(2 * np.eye(4), 4), replace(_IDENTITY, matrix=2 * np.eye(4))],
+    ReproReport: [ReproReport("x", "y", "z", "w", "v", {})],
+}
+
 
 def _pool() -> list:
-    return NUMBERS + NOT_NUMBERS + [
-        "phi+", "XZ", PATH, validate_density(np.eye(4) / 4), _BELL, density_from_pure(_BELL), [(1.0, _BELL)],
+    return NUMBERS + NOT_NUMBERS + [v for forged in FORGERIES.values() for v in forged] + [
+        "phi+", "XZ", PATH, _MIXED, _BELL, density_from_pure(_BELL), [(1.0, _BELL)],
         matrix_to_dict(np.eye(2) / 2), {"label": "l", "members": [{"weight": 1, "re": [1, 0], "im": [0, 0]}]},
-        validate_unitary(np.eye(4)), PauliExpectationSet(1, [1.0, 0.0, 0.0, 0.5]), ShotNoiseConfig(10, 1),
+        _IDENTITY, PauliExpectationSet(1, [1.0, 0.0, 0.0, 0.5]), ShotNoiseConfig(10, 1),
         EnsembleHistory("l", [(0.5, _BELL), (0.5, bell_state("psi-"))]), PopulationVector([3, 1]),
         ValidationProfile("p", 1e-9, 1e-9, 1e-9), reproduce_theory(), load_baselines(),
     ]
@@ -119,6 +145,14 @@ def _refusals_owed(working) -> list:
     return NOT_NUMBERS + floats if numbers else []
 
 
+def _forgeries_owed(outcomes) -> list:
+    """Every forgery of each type of which ``outcomes`` show the parameter accepting a genuine instance."""
+    forged = {id(v) for vs in FORGERIES.values() for v in vs}
+    accepted = [v for v, exc in outcomes if exc is None and id(v) not in forged]
+    return [f for cls, vs in FORGERIES.items() if any(isinstance(v, cls) for v in accepted) for f in vs]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("module", MODULES)
 def test_every_argument_gives_a_result_or_a_typed_error(module, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -134,7 +168,7 @@ def test_every_argument_gives_a_result_or_a_typed_error(module, tmp_path, monkey
             outcomes = [(v, _call(fn, working[:i] + [v] + working[i + 1:], failures)) for v in pool]
             if next(exc for v, exc in outcomes if v is None) is None:  # the parameter is not checked at all
                 continue
-            owed = _refusals_owed(working[i])
+            owed = _refusals_owed(working[i]) + _forgeries_owed(outcomes)
             failures += [
                 f"{_name(fn)} parameter {params[i].name!r} took {_short(v)}: {type(exc).__name__}"
                 for v, exc in outcomes

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from helpers import max_abs_diff
 from nmrsim.core import EXPERIMENTAL, check_unitary, validate_density
 from nmrsim.errors import BadArgumentError, ParseError
 from nmrsim.repro import (
+    ReproReport,
     check_against_baselines,
     export_dataset,
     load_baselines,
@@ -302,6 +304,19 @@ class TestExportAndBaselines:
     def test_hand_built_baselines_are_checked(self, baselines):
         with pytest.raises(ParseError):
             check_against_baselines(reproduce_theory(), baselines)
+
+    @pytest.mark.parametrize(
+        "report, field",
+        [
+            (ReproReport("x", "y", "z", "w", "v", {}), "max_dev_vs_printed_th"),
+            (ReproReport(None, None, None, None, None, {}), "max_dev_vs_printed_th"),
+            (replace(reproduce_theory(), trace_distance_exp_vs_computed_th=True), "trace_distance_exp_vs_computed_th"),
+        ],
+        ids=["strings", "nones", "bool-distance"],
+    )
+    def test_hand_built_report_field_that_is_no_number_is_a_bad_argument(self, report, field):
+        with pytest.raises(BadArgumentError, match=f"report field {field} must be a number"):
+            check_against_baselines(report, load_baselines())
 
     def test_missing_baselines_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):

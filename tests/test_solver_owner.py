@@ -19,7 +19,9 @@ dispatch on a state or an array; every guard on a package-typed argument goes
 through ``core._expect``.  Each state type has one builder: a ``DensityMatrix``
 is constructed only in ``core._checked_density`` and ``core.evolve``, so every
 state carries its eigenpairs, a ``PureState`` only in ``core.pure_state`` and a
-``UnitaryOperator`` only in ``core.validate_unitary``.
+``UnitaryOperator`` only in ``core.validate_unitary``; each of those constructor
+calls is the direct argument of ``core._seal``, so every instance a builder
+returns carries the mark that ``core._expect`` requires.
 """
 
 import ast
@@ -254,17 +256,31 @@ def test_type_check_scan_flags_package_types_only():
     assert _type_checks("m", ast.parse(src)) == {("m", "f"), ("m", "g")}
 
 
+def _constructed(node) -> str | None:
+    """The state type a call constructs, by name or attribute, or ``None``."""
+    if isinstance(node, ast.Call):
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        if name in {kind for _, _, kind in BUILDERS}:
+            return name
+    return None
+
+
 def _constructions(module: str, tree: ast.AST, where: str = "") -> set[tuple[str, str, str]]:
-    """``(module, function, type)`` of every call that constructs a state type, by name or attribute."""
+    """``(module, function, type)`` of every call that constructs a state type."""
     sites = set()
     for node in ast.iter_child_nodes(tree):
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
-        if isinstance(node, ast.Call):
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
-            if name in {kind for _, _, kind in BUILDERS}:
-                sites.add((module, where, name))
+        if kind := _constructed(node):
+            sites.add((module, where, kind))
         sites |= _constructions(module, node, inner)
     return sites
+
+
+def _unsealed(tree: ast.AST) -> list[str]:
+    """Every constructor call of a state type that is not the direct argument of ``_seal`` or ``core._seal``."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and node.args]
+    sealed = {id(node.args[0]) for node in calls if ast.unparse(node.func) in ("_seal", "core._seal")}
+    return [ast.unparse(node) for node in ast.walk(tree) if _constructed(node) and id(node) not in sealed]
 
 
 def test_each_state_type_is_constructed_only_by_its_builder():
@@ -282,3 +298,18 @@ def test_construction_scan_flags_a_state_built_outside_its_builder():
         ("core", "pure_state", "PureState"),
         ("core", "density_from_pure", "DensityMatrix"),
     }
+
+
+def test_each_state_type_construction_is_sealed():
+    found = [site for tree in _package_trees().values() for site in _unsealed(tree)]
+    assert found == []
+
+
+def test_seal_scan_flags_a_state_built_without_the_mark():
+    src = (
+        "def pure_state(v):\n    return PureState(v, len(v))\n"
+        "def validate_unitary(m):\n    return _seal(UnitaryOperator(m, len(m)))\n"
+        "def evolve(m, s):\n    return core._seal(core.DensityMatrix(m, 4, 2, s))\n"
+        "def density_from_pure(psi):\n    return _seal(_freeze(DensityMatrix(psi.projector(), 4, 2, None)))\n"
+    )
+    assert _unsealed(ast.parse(src)) == ["PureState(v, len(v))", "DensityMatrix(psi.projector(), 4, 2, None)"]
