@@ -33,15 +33,7 @@ import numpy as np
 from nmrsim import repro
 from nmrsim.core import EXPERIMENTAL, STRICT, evolve, fidelity, validate_density, validate_unitary
 from nmrsim.ensemble import density_of, entanglement_report, history_from_dict
-from nmrsim.errors import (
-    BadArgumentError,
-    DimMismatchError,
-    NmrsimError,
-    NumericalFailureError,
-    ParseError,
-    ValidationError,
-    WrongDimError,
-)
+from nmrsim.errors import BadArgumentError, NmrsimError
 from nmrsim.pseudopure import compose_pseudopure
 from nmrsim.separability import (
     DEFAULT_PPT_TOL,
@@ -62,17 +54,12 @@ from nmrsim.tomography import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
-EXIT_VALIDATION = 3
 
 _PROFILES = {p.name: p for p in (STRICT, EXPERIMENTAL)}
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NMRSIM_NO_COLOR")
-
-
 def _style(text: str, code: str) -> str:
-    if _use_color():
+    if sys.stdout.isatty() and not os.environ.get("NMRSIM_NO_COLOR"):
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
@@ -362,6 +349,7 @@ def _render(args, payload: dict) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; a typed error exits with the ``exit_code`` its family declares in :mod:`nmrsim.errors`."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.commands.get(argv[0]) if argv else None
@@ -372,18 +360,9 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code, payload = args.func(args)
-    except ValidationError as exc:
-        print(f"nmrsim: validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DimMismatchError, WrongDimError, NumericalFailureError) as exc:
-        print(f"nmrsim: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except ParseError as exc:
-        print(f"nmrsim: cannot parse input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NmrsimError as exc:
-        print(f"nmrsim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"nmrsim: {exc.lead}{exc}", file=sys.stderr)
+        return exc.exit_code
     _render(args, payload)
     return code
 

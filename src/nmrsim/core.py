@@ -118,8 +118,19 @@ STRICT = ValidationProfile("strict", 1e-10, 1e-10, 1e-10)
 EXPERIMENTAL = ValidationProfile("experimental", 1e-3, 1e-3, 5e-2)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class _StateType:
+    """Base of the state types: a copied or unpickled one keeps the read-only arrays its builder gave the original."""
+
+    def __setstate__(self, state: dict) -> None:
+        # deepcopy and pickle hand over fresh writable arrays; a hand-built instance's may be a caller's: left alone
+        for a in [*state.values(), *state.get("spectrum", ())] if "_sealed" in state else ():
+            if isinstance(a, np.ndarray):
+                _freeze(a)
+        self.__dict__.update(state)
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(_StateType):
     """Ensemble-average quantum state: Hermitian, unit trace, PSD.
 
     A state is its read-only ``matrix`` plus ``spectrum``, the read-only
@@ -133,11 +144,11 @@ class DensityMatrix:
     matrix: np.ndarray
     dim: int
     n_qubits: int
-    spectrum: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    spectrum: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-@dataclass(frozen=True)
-class UnitaryOperator:
+@dataclass(frozen=True, eq=False)
+class UnitaryOperator(_StateType):
     """One quantum-computation step; ``U^dag U = I`` within 1e-10."""
 
     _builder = "validate_unitary"
@@ -145,8 +156,8 @@ class UnitaryOperator:
     dim: int
 
 
-@dataclass(frozen=True)
-class PureState:
+@dataclass(frozen=True, eq=False)
+class PureState(_StateType):
     """State vector with unit 2-norm (within 1e-12)."""
 
     _builder = "pure_state"

@@ -1,15 +1,17 @@
 """Exception types shared across the package.
 
-Every input the package rejects raises a subclass of :class:`NmrsimError`;
-the CLI maps each family to its exit code and lets any other exception
-through as the bug it is.  Validation errors carry the measured magnitude of
-the violated invariant so callers (and the CLI) can report what went wrong,
-not just that it did.
+Every input the package rejects raises a subclass of :class:`NmrsimError`,
+whose family declares the CLI's ``exit_code`` and the ``lead`` it prints
+before the message; the CLI lets any other exception through as the bug it
+is.  Validation errors carry the measured magnitude of the violated invariant
+so callers (and the CLI) can report what went wrong, not just that it did.
 """
 
 
 class NmrsimError(Exception):
     """Base class for every error raised by this package."""
+    exit_code = 1
+    lead = ""
 
 
 class BadArgumentError(NmrsimError, ValueError):
@@ -18,22 +20,28 @@ class BadArgumentError(NmrsimError, ValueError):
 
 class ParseError(NmrsimError):
     """A JSON document does not conform to the expected wire schema."""
+    lead = "cannot parse input: "
 
 
 class DimMismatchError(NmrsimError):
     """Two objects that must share a dimension do not."""
+    exit_code = 2
 
 
 class WrongDimError(NmrsimError):
     """An operation received a state of an unsupported dimension."""
+    exit_code = 2
 
 
 class NumericalFailureError(NmrsimError):
     """A numerical routine failed to converge or produced garbage."""
+    exit_code = 2
 
 
 class ValidationError(NmrsimError):
     """A matrix or vector violates an invariant required of its type."""
+    exit_code = 3
+    lead = "validation failure: "
 
 
 class NotSquareError(ValidationError):

@@ -35,7 +35,7 @@ def _require_pure(rho1: DensityMatrix) -> None:
         raise NotPureError(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationVector:
     """Per-basis-state occupation counts, nonnegative."""
 

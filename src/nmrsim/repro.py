@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentDataset:
     c_raw: np.ndarray
     c_corrected: UnitaryOperator
@@ -71,7 +71,7 @@ class ExperimentDataset:
     notes: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReproReport:
     computed_rho_th: np.ndarray
     max_dev_vs_printed_th: float

@@ -25,7 +25,7 @@ _quote = json.encoder.encode_basestring_ascii  # json.dumps' C quoting of a stri
 def matrix_to_dict(m) -> dict:
     a = _numbers(m, complex, "matrix entries")
     if a.ndim != 2:
-        raise ParseError(f"expected a 2-d matrix, got {a.ndim}-d data")
+        raise BadArgumentError(f"expected a 2-d matrix, got {a.ndim}-d data")
     # load_matrix refuses a matrix with no rows or columns, and NaN and Infinity, which json.dumps would write
     if not (a.size and np.isfinite(a).all()):
         raise BadArgumentError(f"matrix entries must be finite and non-empty to be written as JSON, got {a.shape}")

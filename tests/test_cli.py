@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nmrsim import errors
 from nmrsim.cli import _matrix_lines, build_parser, main
 from nmrsim.repro import reproduce_theory
 from nmrsim.separability import DEFAULT_PPT_TOL
@@ -25,6 +26,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def data_path(name: str) -> str:
     with resources.as_file(resources.files("nmrsim").joinpath(f"data/{name}")) as p:
         return str(p)
+
+
+# every error class the package defines, which the CLI maps to an exit code by family
+ERROR_TYPES = [e for e in vars(errors).values() if isinstance(e, type) and issubclass(e, errors.NmrsimError)]
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -195,6 +200,25 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("nmrsim: cannot write '")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=[e.__name__ for e in ERROR_TYPES])
+    def test_each_error_family_exits_with_its_documented_code(self, capsys, monkeypatch, error):
+        # the documented map: 3 for validation failures, 2 for dimension and numerical failures, else 1
+        if issubclass(error, errors.ValidationError):
+            documented = 3, "validation failure: "
+        elif issubclass(error, (errors.DimMismatchError, errors.WrongDimError, errors.NumericalFailureError)):
+            documented = 2, ""
+        else:
+            documented = 1, "cannot parse input: " if issubclass(error, errors.ParseError) else ""
+        assert (error.exit_code, error.lead) == documented
+        exc = error(0.5)  # the one argument every constructor takes
+
+        def refuse(path):
+            raise exc
+
+        monkeypatch.setattr("nmrsim.cli.load_json", refuse)
+        code, out, err = run_cli(capsys, "ensemble", data_path("bell_mixture.json"))
+        assert (code, out, err) == (documented[0], "", f"nmrsim: {documented[1]}{exc}\n")
 
     def test_untyped_error_propagates(self, monkeypatch):
         # only NmrsimError maps to an exit code; a raw OSError from a command is a bug, not exit 1

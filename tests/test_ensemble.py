@@ -232,6 +232,14 @@ def test_history_rejects_non_finite_numbers(member):
         history_from_dict(doc)
 
 
+@pytest.mark.parametrize("missing", ["weight", "re", "im"])
+def test_history_member_missing_a_key_is_named(missing):
+    members = [{"weight": 0.5, "re": [1, 0], "im": [0, 0]} for _ in range(2)]
+    del members[1][missing]
+    with pytest.raises(ParseError, match=rf"^member 1 missing keys: \['{missing}'\]$"):
+        history_from_dict({"label": "bad", "members": members})
+
+
 @pytest.mark.parametrize(
     "part, value, message",
     [

@@ -276,9 +276,17 @@ def test_rejects_bad_dimensions():
         matrix_from_dict(doc)
 
 
-def test_to_dict_rejects_non_matrix():
-    with pytest.raises(ParseError, match="expected a 2-d matrix, got 1-d data"):
+def test_to_dict_rejects_non_matrix(tmp_path):
+    # a write, not a parse: the argument is outside the domain, as with empty or non-finite data
+    with pytest.raises(BadArgumentError, match="expected a 2-d matrix, got 1-d data") as exc:
         matrix_to_dict(np.array([1.0, 0.0]))
+    assert isinstance(exc.value, ValueError)
+    for m in (np.float64(0.5), np.zeros((2, 2, 2)), np.zeros(3)):
+        with pytest.raises(BadArgumentError, match=f"got {np.ndim(m)}-d data"):
+            matrix_to_dict(m)
+        with pytest.raises(BadArgumentError, match=f"got {np.ndim(m)}-d data"):
+            save_matrix(m, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("m", [[["x"]], [[True]], [[0.5, False], [0.0, 0.5]], [["0.5"]], [[None]]])

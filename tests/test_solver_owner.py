@@ -8,7 +8,10 @@ hermiticity defect ``a - a.conj().T`` and the trace of an array (not of a
 product) may appear only in ``core._trace_and_defect``, so validation and
 both projections measure one way.  ``setflags`` may appear only inside
 ``_freeze``.  No module raises a bare ``ValueError``, which the CLI would not
-map to an exit code, and only ``core`` defines ``MAX_QUBITS``.  Every
+map to an exit code, and only ``core`` defines ``MAX_QUBITS``.  A
+``ParseError`` is raised only in the functions that read a document, listed
+in ``PARSERS``, so an argument a library caller hands over is never reported
+as unparseable input.  Every
 filesystem call sits in ``serialize.load_json`` or in a ``with _writing(...)``
 block, so the OS refusing a read or a write is a typed error.  No function
 hands one of its parameters, and no ``__post_init__`` one of its fields,
@@ -55,6 +58,15 @@ BUILDERS = {
     ("core", "evolve", "DensityMatrix"),
     ("core", "pure_state", "PureState"),
     ("core", "validate_unitary", "UnitaryOperator"),
+}
+# The functions that read a JSON document or a file; nowhere else may raise ``ParseError``.
+PARSERS = {
+    ("serialize", "_require_number"),
+    ("serialize", "_parse_part"),
+    ("serialize", "matrix_from_dict"),
+    ("serialize", "load_json"),
+    ("ensemble", "history_from_dict"),
+    ("repro", "_baseline_numbers"),
 }
 # ``core._expect`` checks against the type it is handed, so a guard that names a package type here is not it.
 TYPE_CHECKERS = {
@@ -149,15 +161,38 @@ def test_hermitian_part_scan_flags_both_forms():
     assert not _is_hermitian_part(ast.parse("a / 2 + b.conj().T / 2", mode="eval").body)
 
 
+def _raise_sites(module: str, tree: ast.AST, error: str, where: str = "") -> set[tuple[str, str]]:
+    """``(module, function)`` of every ``raise`` of ``error``, by name or attribute, called or not."""
+    sites = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else where
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(raised, "attr", getattr(raised, "id", None)) == error:
+                sites.add((module, where))
+        sites |= _raise_sites(module, node, error, inner)
+    return sites
+
+
+def _package_raise_sites(error: str) -> set[tuple[str, str]]:
+    return set().union(*(_raise_sites(module, tree, error) for module, tree in _package_trees().items()))
+
+
 def test_no_bare_value_error_is_raised():
-    raised = [
-        (module, node.lineno)
-        for module, tree in _package_trees().items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Raise) and node.exc is not None
-        and ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "ValueError"
-    ]
-    assert raised == []
+    assert _package_raise_sites("ValueError") == set()
+
+
+def test_parse_errors_are_raised_only_where_a_document_is_read():
+    assert _package_raise_sites("ParseError") == PARSERS
+
+
+def test_raise_scan_flags_each_raising_function():
+    src = (
+        "def load(p):\n    raise ParseError('x')\n"
+        "class C:\n    def write(self):\n        raise errors.ParseError from None\n"
+        "def g(a):\n    if a:\n        raise BadArgumentError('y')\n    raise\n"
+    )
+    assert _raise_sites("m", ast.parse(src), "ParseError") == {("m", "load"), ("m", "write")}
 
 
 def test_qubit_limit_is_defined_only_in_core():
