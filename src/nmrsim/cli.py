@@ -27,6 +27,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -55,7 +56,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
-_PROFILES = {p.name: p for p in (STRICT, EXPERIMENTAL)}
+_PROFILES = {"strict": STRICT, "experimental": EXPERIMENTAL}
 
 
 def _style(text: str, code: str) -> str:
@@ -175,7 +176,7 @@ def cmd_repro(args) -> tuple[int, dict]:
         repro.export_dataset(args.export)
     return EXIT_OK if all_ok else EXIT_MISMATCH, {
         "command": "repro",
-        **vars(report),
+        **{f.name: getattr(report, f.name) for f in fields(report)},
         "baseline_checks": [c._asdict() for c in checks],
         "all_baselines_ok": all_ok,
     }

@@ -62,21 +62,17 @@ MAX_QUBITS = 3
 
 @dataclass(frozen=True)
 class ValidationProfile:
-    """Tolerance bundle applied when validating density matrices.
+    """Tolerance bundle applied when validating density matrices; ``STRICT`` and ``EXPERIMENTAL`` are the only two.
 
-    ``strict`` is the default for synthetic data.  ``experimental``
-    accommodates matrices transcribed from 4-decimal instrument readouts,
-    which can carry small trace defects and slightly negative eigenvalues.
+    ``STRICT`` is the default for synthetic data.  ``EXPERIMENTAL`` accommodates matrices transcribed from
+    4-decimal instrument readouts, which can carry small trace defects and slightly negative eigenvalues.
+    Any other profile, built by hand or by ``dataclasses.replace``, is a ``BadArgumentError``.
     """
 
-    name: str
+    _builder = "STRICT or EXPERIMENTAL"
     hermiticity_tol: float
     trace_tol: float
     psd_tol: float
-
-    def __post_init__(self):
-        for field in ("hermiticity_tol", "trace_tol", "psd_tol"):
-            _require_tolerance(getattr(self, field), f"{self.name} profile {field}")
 
 
 def _real(x, other: float | None = math.nan) -> float | None:
@@ -96,8 +92,7 @@ def _expect(x, cls, what: str):
     """The one package-type guard: ``x`` if it is a ``cls``, from its ``_builder`` if any, else ``BadArgumentError``."""
     if not isinstance(x, cls):
         raise BadArgumentError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
-    builder = getattr(cls, "_builder", None)
-    if builder and "_sealed" not in x.__dict__:
+    if (builder := getattr(cls, "_builder", None)) and "_sealed" not in x.__dict__:
         raise BadArgumentError(f"{what} must be a {cls.__name__} from {builder}, not one built by hand or replaced")
     return x
 
@@ -114,18 +109,19 @@ def _require_tolerance(tol: float, what: str) -> None:
         raise BadArgumentError(f"{what} must be finite and nonnegative, got {tol!r}")
 
 
-STRICT = ValidationProfile("strict", 1e-10, 1e-10, 1e-10)
-EXPERIMENTAL = ValidationProfile("experimental", 1e-3, 1e-3, 5e-2)
+STRICT = _seal(ValidationProfile(1e-10, 1e-10, 1e-10))
+EXPERIMENTAL = _seal(ValidationProfile(1e-3, 1e-3, 5e-2))
 
 
 class _StateType:
-    """Base of the state types: a copied or unpickled one keeps the read-only arrays its builder gave the original."""
+    """Base of the state types, expectation sets and population vectors: a copy keeps its read-only arrays."""
 
     def __setstate__(self, state: dict) -> None:
-        # deepcopy and pickle hand over fresh writable arrays; a hand-built instance's may be a caller's: left alone
-        for a in [*state.values(), *state.get("spectrum", ())] if "_sealed" in state else ():
-            if isinstance(a, np.ndarray):
-                _freeze(a)
+        # deepcopy and pickle give fresh writable arrays; a hand-built one of a type with a builder may hold a caller's
+        if "_sealed" in state or not getattr(self, "_builder", None):
+            for a in [*state.values(), *state.get("spectrum", ())]:
+                if isinstance(a, np.ndarray):
+                    _freeze(a)
         self.__dict__.update(state)
 
 
@@ -251,7 +247,7 @@ def validate_density(m, profile: ValidationProfile = STRICT) -> DensityMatrix:
     m : array_like
         Square complex matrix with power-of-two dimension.
     profile : ValidationProfile
-        Tolerances to apply (``STRICT`` by default).
+        ``STRICT`` (the default) or ``EXPERIMENTAL``; any other profile is a ``BadArgumentError``.
 
     Returns
     -------
@@ -296,9 +292,9 @@ def check_unitary(m, tol: float = 1e-10) -> tuple[bool, float]:
     return _unitarity(_as_complex_matrix(m), tol)
 
 
-def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
-    """Wrap ``m`` as a :class:`UnitaryOperator` of 1 to ``MAX_QUBITS`` qubits, or raise ``NotUnitaryError``."""
-    ok, defect = _unitarity(a := _as_complex_matrix(m), tol)
+def validate_unitary(m) -> UnitaryOperator:
+    """Wrap ``m`` as a :class:`UnitaryOperator` of 1 to ``MAX_QUBITS`` qubits, or ``NotUnitaryError`` above 1e-10."""
+    ok, defect = _unitarity(a := _as_complex_matrix(m), 1e-10)
     if not ok:
         raise NotUnitaryError(defect)
     return _seal(UnitaryOperator(_freeze(a), len(a)))
@@ -307,8 +303,6 @@ def validate_unitary(m, tol: float = 1e-10) -> UnitaryOperator:
 def pure_state(amplitudes) -> PureState:
     """Wrap an amplitude vector of 1 to ``MAX_QUBITS`` qubits, requiring unit norm within 1e-12."""
     v = _numbers(amplitudes, complex, "state amplitudes").reshape(-1)
-    if v.size < 2:
-        raise NotNormalizedError(1.0, what="empty or scalar state vector")
     _n_qubits_for(v.size)  # before any O(d^2) work on the state, such as its projector
     with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
         dev = abs(float(np.linalg.norm(v)) - 1.0)
@@ -367,9 +361,9 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
 def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     """Conjugate a state by one computation step: ``U rho U^dag``.
 
-    Preserves the trace to 1e-12 and the eigenvalue multiset to 1e-9.  The result's ``spectrum`` is
-    ``(w, U v)`` from ``rho``'s, with no eigen-solve: eigenpairs of its Hermitian part to U's
-    unitarity defect (at most 1e-10 for a validated operator) plus round-off.
+    Preserves the trace to U's unitarity defect, at most 1e-10 for a validated operator, plus round-off,
+    and the eigenvalue multiset to 1e-9.  The result's ``spectrum`` is ``(w, U v)`` from ``rho``'s,
+    with no eigen-solve: eigenpairs of its Hermitian part to that defect plus round-off.
     """
     if _expect(rho, DensityMatrix, "state").dim != _expect(u, UnitaryOperator, "step operator").dim:
         raise DimMismatchError(f"state dim {rho.dim} != operator dim {u.dim}")

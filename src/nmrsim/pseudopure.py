@@ -11,7 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nmrsim.core import DensityMatrix, _expect, _freeze, _numbers, _pair, _real, _require_finite, validate_density
+from nmrsim.core import (
+    DensityMatrix, _expect, _freeze, _numbers, _pair, _real, _require_finite, _StateType, validate_density,
+)
 from nmrsim.errors import BadArgumentError, NotPureError
 
 __all__ = [
@@ -36,7 +38,7 @@ def _require_pure(rho1: DensityMatrix) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PopulationVector:
+class PopulationVector(_StateType):
     """Per-basis-state occupation counts, nonnegative."""
 
     counts: np.ndarray

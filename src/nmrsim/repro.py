@@ -17,11 +17,11 @@ the stated prediction and measures experiment-vs-theory distances on states
 made physical by ``tomography.closest_physical_state``; the diagnostics record
 what was done to each.  Its inputs are the read-only bundled data, so it
 computes once per process: every call returns read-only arrays and its own
-copy of the diagnostics.  ``load_baselines`` and ``export_dataset`` touch
-files that may change between calls, so they are never cached.  The
-resulting numbers are regression-tested against
-frozen baselines computed once by ``scripts/freeze_baselines.py`` with exact
-rational and 60-digit arithmetic; they are never hand-entered.
+copy of the diagnostics, in a report that only it makes.  ``load_baselines``
+and ``export_dataset`` touch files that may change between calls, so they are
+never cached.  The resulting numbers are regression-tested against frozen
+baselines computed once by ``scripts/freeze_baselines.py`` with exact rational
+and 60-digit arithmetic; they are never hand-entered.
 """
 
 import functools
@@ -37,7 +37,7 @@ from nmrsim.core import (
     _eigh,
     _expect,
     _freeze,
-    _real,
+    _seal,
     _trace_and_defect,
     evolve,
     fidelity,
@@ -45,7 +45,7 @@ from nmrsim.core import (
     validate_density,
     validate_unitary,
 )
-from nmrsim.errors import BadArgumentError, ParseError
+from nmrsim.errors import ParseError
 from nmrsim.serialize import _require_number, _writing, load_json, load_matrix
 from nmrsim.tomography import closest_physical_state
 
@@ -73,6 +73,7 @@ class ExperimentDataset:
 
 @dataclass(frozen=True, eq=False)
 class ReproReport:
+    _builder = "reproduce_theory"
     computed_rho_th: np.ndarray
     max_dev_vs_printed_th: float
     fidelity_exp_vs_computed_th: float
@@ -107,7 +108,7 @@ def load_dataset() -> ExperimentDataset:
     """
     return ExperimentDataset(
         c_raw=_read_frozen("step_matrix_raw"),
-        c_corrected=validate_unitary(_read_frozen("step_matrix"), 1e-12),
+        c_corrected=validate_unitary(_read_frozen("step_matrix")),
         rho_initial=_read_frozen("rho_initial"),
         rho_exp_after=_read_frozen("rho_exp_after"),
         rho_th_printed=_read_frozen("rho_th_printed"),
@@ -179,7 +180,7 @@ def reproduce_theory() -> ReproReport:
     ``computed_rho_th`` and its own copy of ``diagnostics``.
     """
     report = _theory()
-    return replace(report, diagnostics={name: dict(d) for name, d in report.diagnostics.items()})
+    return _seal(replace(report, diagnostics={name: dict(d) for name, d in report.diagnostics.items()}))
 
 
 @functools.cache
@@ -203,14 +204,14 @@ def _theory() -> ReproReport:
         "rho_th_printed": _diagnose(printed, printed_renorm, printed_proj),
         "computed_rho_th": _diagnose(computed, th_renorm, th_proj),
     }
-    return ReproReport(
+    return _seal(ReproReport(
         computed_rho_th=computed.matrix,
         max_dev_vs_printed_th=max_dev,
         fidelity_exp_vs_computed_th=fidelity(exp_state, th_state),
         trace_distance_exp_vs_computed_th=trace_distance(exp_state, th_state),
         fidelity_computed_vs_printed_th=fidelity(th_state, printed_state),
         diagnostics=diagnostics,
-    )
+    ))
 
 
 def check_against_baselines(report: ReproReport, baselines: dict) -> list[BaselineCheck]:
@@ -221,13 +222,11 @@ def check_against_baselines(report: ReproReport, baselines: dict) -> list[Baseli
     _expect(report, ReproReport, "report")
     values, tolerances, ceiling = _baseline_numbers(baselines, "baselines")
     checks = []
-    for name in _CHECKED:  # a hand-built report's field may be no number at all
-        if (value := _real(getattr(report, name), None)) is None:
-            raise BadArgumentError(f"report field {name} must be a number, got {type(getattr(report, name)).__name__}")
-        frozen, tol = values[name], tolerances[name]
+    for name in _CHECKED:
+        value, frozen, tol = getattr(report, name), values[name], tolerances[name]
         checks.append(BaselineCheck(name, value, frozen, tol, abs(value - frozen) <= tol))
     if ceiling is not None:
-        dev = _real(report.max_dev_vs_printed_th)
+        dev = report.max_dev_vs_printed_th
         checks.append(BaselineCheck("max_dev_documented_ceiling", dev, ceiling, ceiling, dev <= ceiling))
     return checks
 

@@ -93,7 +93,9 @@ def load_json(path) -> object:
     """The decoded document at ``path``; an unreadable file or an undecodable document is a ``ParseError``."""
     try:
         text = Path(path).read_text()
-    except (OSError, ValueError, TypeError) as exc:  # not UTF-8, a NUL byte in the path, or not a path
+    except TypeError as exc:  # not a path: the caller's fault, as ``_writing`` reports it
+        raise BadArgumentError(f"cannot read {path!r}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL byte in the path
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

@@ -47,6 +47,7 @@ from nmrsim.core import (
     _is_integer,
     _n_qubits_for,
     _numbers,
+    _StateType,
     _trace_and_defect,
 )
 from nmrsim.errors import BadArgumentError, BadTraceError, NotHermitianError, NumericalFailureError, ValidationError
@@ -98,7 +99,7 @@ def _stack(n_qubits: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PauliExpectationSet:
+class PauliExpectationSet(_StateType):
     """Complete set of Pauli product expectations for ``n_qubits`` qubits.
 
     ``values`` is a read-only float64 array of length ``4^n``: ``values[k]``

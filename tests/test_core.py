@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 from dataclasses import replace
 
@@ -59,12 +60,13 @@ from nmrsim.errors import (
 )
 from nmrsim.ensemble import EnsembleHistory, concurrence, density_of
 from nmrsim.pseudopure import PopulationVector, compose_pseudopure, extract_epsilon
-from nmrsim.repro import load_dataset, reproduce_theory
+from nmrsim.repro import check_against_baselines, load_baselines, load_dataset, reproduce_theory
 from nmrsim.separability import is_separable_2q, partial_transpose
 from nmrsim.tomography import (
     PauliExpectationSet,
     ShotNoiseConfig,
     closest_physical_state,
+    pauli_expectations,
     pauli_matrix,
     project_psd,
     reconstruct_linear,
@@ -151,17 +153,12 @@ class TestValidateDensity:
             validate_density(m, STRICT)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    @pytest.mark.parametrize("field", range(3), ids=["hermiticity", "trace", "psd"])
+    @pytest.mark.parametrize("field", ["hermiticity_tol", "trace_tol", "psd_tol"], ids=["hermiticity", "trace", "psd"])
     def test_profile_rejects_unusable_tolerance(self, field, bad):
-        # NaN fails every `>` check, so a NaN trace tolerance would accept diag(2, 0, 0, 0)
-        tols = [1e-10, 1e-10, 1e-10]
-        tols[field] = bad
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            ValidationProfile("x", *tols)
+        # NaN fails every `>` check, so a NaN trace tolerance would accept diag(2, 0, 0, 0); no caller sets one
+        with pytest.raises(BadArgumentError, match="from STRICT or EXPERIMENTAL,"):
+            validate_density(np.diag([2.0, 0.0, 0.0, 0.0]), replace(STRICT, **{field: bad}))
 
-    def test_profile_accepts_zero_tolerance(self):
-        rho = validate_density(np.eye(2) / 2, ValidationProfile("exact", 0.0, 0.0, 0.0))
-        assert rho.dim == 2
 
     def test_matrix_is_read_only(self):
         rho = validate_density(np.eye(2) / 2, STRICT)
@@ -204,6 +201,13 @@ class TestEvolve:
             assert max_abs_diff(undone.matrix, rho.matrix) < 1e-10
             # strict validation accepts everything evolve produces
             validate_density(out.matrix, STRICT)
+
+    def test_trace_moves_by_at_most_the_operators_unitarity_defect(self):
+        # a validated operator may carry a defect of up to 1e-10, so the trace is kept to that, not to 1e-12
+        u = validate_unitary((1 + 4.9e-11) * np.eye(4))
+        _, defect = check_unitary(u.matrix)
+        shift = abs(np.trace(evolve(validate_density(np.eye(4) / 4), u).matrix) - 1.0)
+        assert 1e-12 < shift <= defect + 4 * np.finfo(float).eps and defect <= 1e-10
 
 
 class TestFidelityAndTraceDistance:
@@ -318,8 +322,13 @@ class TestCheckUnitary:
         # no defect, not even the identity's 0.0, passes `<=` a NaN or negative tolerance
         with pytest.raises(ValueError, match="finite and nonnegative"):
             check_unitary(np.eye(2), tol)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            validate_unitary(np.eye(2), tol)
+
+    def test_validate_unitary_checks_at_its_types_bound(self):
+        # with a caller-set tolerance, validate_unitary(2 I, 10.0) was accepted and evolve returned a trace of 4
+        assert list(inspect.signature(validate_unitary).parameters) == ["m"]
+        assert validate_unitary((1 + 4.9e-11) * np.eye(2)).dim == 2
+        with pytest.raises(NotUnitaryError):
+            validate_unitary((1 + 5.1e-11) * np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad):
@@ -355,7 +364,7 @@ class TestPureStates:
 
     @pytest.mark.parametrize("amplitudes", [[], [1.0]], ids=["empty", "scalar"])
     def test_fewer_than_two_amplitudes_rejected(self, amplitudes):
-        with pytest.raises(NotNormalizedError, match="empty or scalar"):
+        with pytest.raises(DimNotPowerOfTwoError, match=f"dimension {len(amplitudes)} is not a power of two >= 2"):
             pure_state(amplitudes)
 
     @pytest.mark.parametrize(
@@ -571,6 +580,8 @@ def test_qubit_limit_is_checked_before_any_eigen_solve(check, monkeypatch):
 _I2 = np.eye(2)
 _BELL = density_from_pure(bell_state("phi+"))
 _MIXED = validate_density(np.eye(4) / 4)
+_REPORT = reproduce_theory()
+_LOOSE = ValidationProfile(1.0, 1.0, 1e300)
 
 # Each call passes a state type that its builder did not make; a wrong number or a raw error came out of each.
 _FORGED = (np.array([0, 0, 0, 1.0]), np.eye(4))  # the eigenpairs of |11><11|, not of I/4
@@ -581,6 +592,10 @@ NOT_BUILT = {
     "replaced state": ("validate_density", lambda: fidelity(replace(_MIXED, matrix=np.eye(4) / 2), _MIXED)),
     "replaced state, projected": ("validate_density", lambda: closest_physical_state(replace(_MIXED, matrix=_I2))),
     "hand-built history member": ("pure_state", lambda: EnsembleHistory("l", [(1.0, PureState(np.eye(4)[0], 4))])),
+    # a loose profile made diag(3, -2) a "state" at trace distance 2.5 from I/2, beyond the bound of 1
+    "hand-built profile": ("STRICT or EXPERIMENTAL", lambda: validate_density(np.diag([3.0, -2.0]), _LOOSE)),
+    "replaced profile": ("STRICT or EXPERIMENTAL", lambda: validate_density(_I2 / 2, replace(STRICT, psd_tol=1.0))),
+    "replaced report": ("reproduce_theory", lambda: check_against_baselines(replace(_REPORT), load_baselines())),
 }
 
 
@@ -590,7 +605,11 @@ def test_a_state_type_not_from_its_builder_is_refused_naming_the_builder(builder
         call()
 
 
-@pytest.mark.parametrize("built", [_MIXED, bell_state("psi-"), validate_unitary(_I2)], ids=["state", "pure", "step"])
+@pytest.mark.parametrize(
+    "built",
+    [_MIXED, bell_state("psi-"), validate_unitary(_I2), pauli_expectations(_MIXED), PopulationVector([3, 1])],
+    ids=["state", "pure", "step", "expectations", "populations"],
+)
 @pytest.mark.parametrize(
     "duplicate", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
 )
@@ -649,8 +668,7 @@ NOT_NUMBERS = {
     "string simplex input": lambda: simplex_project(["0.7", "0.3"]),
     "bool PPT tolerance": lambda: is_separable_2q(_BELL, True),
     "string PPT tolerance": lambda: is_separable_2q(_MIXED, "x"),
-    "missing unitarity tolerance": lambda: validate_unitary(_I2, None),
-    "string profile tolerance": lambda: ValidationProfile("p", "x", 1e-3, 1e-3),
+    "string profile tolerance": lambda: validate_density(_I2 / 2, ValidationProfile("x", 1e-3, 1e-3)),
     "bool epsilon": lambda: compose_pseudopure(True, _BELL),
     "string epsilon": lambda: compose_pseudopure("0.5", _BELL),
     "float qubit": lambda: partial_transpose(_MIXED, 1.0),

@@ -9,8 +9,9 @@ parameter, defaulted or not, takes every pool value while the others keep
 their working values.  The pool mixes numbers (empty matrices and matrices
 whose trace is tiny or subnormal among them), data that is not numbers, the
 wrong package type, one valid instance of each package type and, in
-``FORGERIES``, instances of the state types and of ``ReproReport`` that no
-builder made: built by the constructor or by ``dataclasses.replace``.
+``FORGERIES``, instances of the state types, of ``ValidationProfile`` and of
+``ReproReport`` that no builder made: built by the constructor or by
+``dataclasses.replace``.  ``STRICT`` is the pool's genuine profile.
 
 Three rules hold for every call, and any warning fails the sweep:
 
@@ -35,6 +36,7 @@ import numpy as np
 import pytest
 
 from nmrsim.core import (
+    STRICT,
     DensityMatrix,
     PureState,
     UnitaryOperator,
@@ -73,7 +75,8 @@ FORGERIES = {
     ],
     PureState: [PureState(np.array([2, 0, 0, 2]), 4), replace(_BELL, amplitudes=2 * _BELL.amplitudes)],
     UnitaryOperator: [UnitaryOperator(2 * np.eye(4), 4), replace(_IDENTITY, matrix=2 * np.eye(4))],
-    ReproReport: [ReproReport("x", "y", "z", "w", "v", {})],
+    ValidationProfile: [ValidationProfile(1.0, 1.0, 1e300), replace(STRICT, psd_tol=1.0)],
+    ReproReport: [ReproReport("x", "y", "z", "w", "v", {}), replace(reproduce_theory(), max_dev_vs_printed_th=0.0)],
 }
 
 
@@ -83,7 +86,7 @@ def _pool() -> list:
         matrix_to_dict(np.eye(2) / 2), {"label": "l", "members": [{"weight": 1, "re": [1, 0], "im": [0, 0]}]},
         _IDENTITY, PauliExpectationSet(1, [1.0, 0.0, 0.0, 0.5]), ShotNoiseConfig(10, 1),
         EnsembleHistory("l", [(0.5, _BELL), (0.5, bell_state("psi-"))]), PopulationVector([3, 1]),
-        ValidationProfile("p", 1e-9, 1e-9, 1e-9), reproduce_theory(), load_baselines(),
+        STRICT, reproduce_theory(), load_baselines(),
     ]
 
 

@@ -11,10 +11,12 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from nmrsim.ensemble import history_from_dict
 from nmrsim.errors import BadArgumentError, NmrsimError, ParseError
+from nmrsim.repro import load_baselines
 from nmrsim.serialize import (
     _parse_part,
     _require_number,
     _to_json,
+    load_json,
     load_matrix,
     matrix_from_dict,
     matrix_to_dict,
@@ -339,6 +341,14 @@ def test_load_matrix_bad_json(tmp_path):
 def test_load_matrix_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_matrix(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("path", [5, None, b"x"], ids=["int", "none", "bytes"])
+def test_reading_an_argument_that_is_not_a_path_is_a_bad_argument(path):
+    # an argument that is no path is the caller's fault, not bad input; load_baselines(None) reads the bundled file
+    for read in (load_json, load_matrix) if path is None else (load_json, load_matrix, load_baselines):
+        with pytest.raises(BadArgumentError, match="^cannot read "):
+            read(path)
 
 
 def test_load_matrix_nul_in_path():

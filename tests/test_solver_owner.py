@@ -22,9 +22,12 @@ dispatch on a state or an array; every guard on a package-typed argument goes
 through ``core._expect``.  Each state type has one builder: a ``DensityMatrix``
 is constructed only in ``core._checked_density`` and ``core.evolve``, so every
 state carries its eigenpairs, a ``PureState`` only in ``core.pure_state`` and a
-``UnitaryOperator`` only in ``core.validate_unitary``; each of those constructor
-calls is the direct argument of ``core._seal``, so every instance a builder
-returns carries the mark that ``core._expect`` requires.
+``UnitaryOperator`` only in ``core.validate_unitary``.  So do the other marked
+types: a ``ValidationProfile`` is constructed only at ``core``'s module level,
+as ``STRICT`` and ``EXPERIMENTAL``, and a ``ReproReport`` only in
+``repro._theory``.  Each of those constructor calls is the direct argument of
+``core._seal``, so every instance a builder returns carries the mark that
+``core._expect`` requires.
 """
 
 import ast
@@ -58,6 +61,8 @@ BUILDERS = {
     ("core", "evolve", "DensityMatrix"),
     ("core", "pure_state", "PureState"),
     ("core", "validate_unitary", "UnitaryOperator"),
+    ("core", "", "ValidationProfile"),  # STRICT and EXPERIMENTAL
+    ("repro", "_theory", "ReproReport"),
 }
 # The functions that read a JSON document or a file; nowhere else may raise ``ParseError``.
 PARSERS = {
@@ -327,11 +332,15 @@ def test_construction_scan_flags_a_state_built_outside_its_builder():
     src = (
         "def pure_state(v):\n    return PureState(v, len(v))\n"
         "def density_from_pure(psi):\n    return core.DensityMatrix(psi.projector(), psi.dim, 1)\n"
-        "def g(rho):\n    return isinstance(rho, DensityMatrix)"
+        "def g(rho):\n    return isinstance(rho, DensityMatrix)\n"
+        "STRICT = ValidationProfile(1e-10, 1e-10, 1e-10)\n"
+        "def _theory():\n    return repro.ReproReport(m, 0.0, 1.0, 0.0, 1.0, {})\n"
     )
     assert _constructions("core", ast.parse(src)) == {
         ("core", "pure_state", "PureState"),
         ("core", "density_from_pure", "DensityMatrix"),
+        ("core", "", "ValidationProfile"),
+        ("core", "_theory", "ReproReport"),
     }
 
 
@@ -346,5 +355,14 @@ def test_seal_scan_flags_a_state_built_without_the_mark():
         "def validate_unitary(m):\n    return _seal(UnitaryOperator(m, len(m)))\n"
         "def evolve(m, s):\n    return core._seal(core.DensityMatrix(m, 4, 2, s))\n"
         "def density_from_pure(psi):\n    return _seal(_freeze(DensityMatrix(psi.projector(), 4, 2, None)))\n"
+        "STRICT = _seal(ValidationProfile(1e-10, 1e-10, 1e-10))\n"
+        "LOOSE = ValidationProfile(1.0, 1.0, 1.0)\n"
+        "def _theory():\n    return ReproReport(m, 0.0, 1.0, 0.0, 1.0, {})\n"
     )
-    assert _unsealed(ast.parse(src)) == ["PureState(v, len(v))", "DensityMatrix(psi.projector(), 4, 2, None)"]
+    assert _unsealed(ast.parse(src)) == [
+        "ValidationProfile(1.0, 1.0, 1.0)",
+        "PureState(v, len(v))",
+        "ReproReport(m, 0.0, 1.0, 0.0, 1.0, {})",
+        "DensityMatrix(psi.projector(), 4, 2, None)",
+    ]
+
